@@ -43,8 +43,15 @@ def build_result(model: SegmentationModel,
                  converged: bool,
                  history: Optional[List[Dict[str, float]]] = None,
                  scene_name: str = "",
-                 clean_prediction: Optional[np.ndarray] = None) -> AttackResult:
-    """Evaluate an adversarial cloud and wrap everything into an AttackResult."""
+                 clean_prediction: Optional[np.ndarray] = None,
+                 adversarial_prediction: Optional[np.ndarray] = None
+                 ) -> AttackResult:
+    """Evaluate an adversarial cloud and wrap everything into an AttackResult.
+
+    ``clean_prediction`` and ``adversarial_prediction`` skip their reporting
+    forwards; a caller passes them only when they equal what
+    ``model.predict_single`` returns for the cloud.
+    """
     original_coords = np.asarray(original_coords, dtype=np.float64)
     original_colors = np.asarray(original_colors, dtype=np.float64)
     adversarial_coords = np.asarray(adversarial_coords, dtype=np.float64)
@@ -54,7 +61,9 @@ def build_result(model: SegmentationModel,
 
     if clean_prediction is None:
         clean_prediction = model.predict_single(original_coords, original_colors)
-    adversarial_prediction = model.predict_single(adversarial_coords, adversarial_colors)
+    if adversarial_prediction is None:
+        adversarial_prediction = model.predict_single(adversarial_coords,
+                                                      adversarial_colors)
 
     coord_delta = adversarial_coords - original_coords
     color_delta = adversarial_colors - original_colors

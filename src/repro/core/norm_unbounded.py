@@ -36,6 +36,17 @@ from .reparam import BoxReparam
 from .smoothness import smoothness_penalty
 
 
+def _logits_match_reporting() -> bool:
+    """Whether step logits are bit-for-bit what a reporting forward computes.
+
+    Reporting forwards (:meth:`SegmentationModel.logits_numpy`) run the
+    numpy kernels under :meth:`ComputePolicy.exact`; a step under the same
+    arithmetic, on the same cloud, yields the same float64 logits.
+    """
+    policy = current_policy()
+    return policy.is_exact and policy.tensor_backend == "numpy"
+
+
 class NormUnboundedAttack:
     """C&W-style attack optimising perturbation size and attack success jointly."""
 
@@ -82,6 +93,7 @@ class NormUnboundedAttack:
         best_colors = colors.copy()
         best_coords = coords.copy()
         best_total_loss = np.inf
+        best_prediction = None
         plateau = 0
         history: List[Dict[str, float]] = []
         converged = False
@@ -104,6 +116,7 @@ class NormUnboundedAttack:
             smooth_source = (coords[None]
                              if current_policy().smoothness_neighbors == "clean"
                              else None)
+            reuse_prediction = _logits_match_reporting()
 
             # Free optimisation variables, initialised from the clean values
             # through the inverse of Eq. 7 (created inside the compute
@@ -264,6 +277,7 @@ class NormUnboundedAttack:
                 if improved:
                     best_gain = gain
                     best_adversarial_loss = adversarial_loss
+                    best_prediction = prediction
                     # Recompose from the original float64 arrays so every
                     # point not carrying a perturbation stays a bit-exact
                     # original even under a float32 compute policy.  The
@@ -315,6 +329,8 @@ class NormUnboundedAttack:
             labels=labels, target_labels=target_labels, target_mask=mask,
             iterations=iterations, converged=converged, history=history,
             scene_name=scene_name, clean_prediction=clean_prediction,
+            adversarial_prediction=(best_prediction if reuse_prediction
+                                    else None),
         )
 
     # ------------------------------------------------------------------ #
@@ -368,6 +384,7 @@ class NormUnboundedAttack:
         best_total_loss = np.full(batch, np.inf)
         best_colors = colors.copy()
         best_coords = coords.copy()
+        best_predictions: List[Optional[np.ndarray]] = [None] * batch
         plateau = np.zeros(batch, dtype=np.int64)
         histories: List[List[Dict[str, float]]] = [[] for _ in range(batch)]
         converged = np.zeros(batch, dtype=bool)
@@ -381,6 +398,7 @@ class NormUnboundedAttack:
             smooth_source = (coords
                              if current_policy().smoothness_neighbors == "clean"
                              else None)
+            reuse_prediction = _logits_match_reporting()
 
             variables = []
             w_color = w_coord = None
@@ -563,6 +581,7 @@ class NormUnboundedAttack:
                     if improved:
                         best_gain[b] = gain
                         best_adversarial_loss[b] = adversarial_loss
+                        best_predictions[b] = predictions[b]
                         best_colors[b] = (np.where(mask3[b], adv_colors_data[b],
                                                    colors[b])
                                           if w_color is not None else colors[b])
@@ -620,6 +639,8 @@ class NormUnboundedAttack:
                 iterations=int(iterations[b]), converged=bool(converged[b]),
                 history=histories[b], scene_name=scenes[b].scene_name,
                 clean_prediction=clean_predictions[b],
+                adversarial_prediction=(best_predictions[b] if reuse_prediction
+                                        else None),
             )
             for b in range(batch)
         ]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..accel import ComputePolicy, neighborhoods, use_policy
+from ..accel import ComputePolicy, freeze_parameters, neighborhoods, use_policy
 from ..geometry.transforms import NormalizationSpec
 from ..nn import Module, Tensor
 
@@ -39,7 +39,8 @@ class SegmentationModel(Module):
         array participate in the key), so e.g. re-scoring the same clean
         cloud for each attack method of a table costs one forward pass.
         The evaluation-mode forward is side-effect free, which is what makes
-        the memoisation sound.
+        the memoisation sound.  Parameters are frozen for the forward, so
+        it builds no backward closures and takes the fused kernels.
         """
         coords = np.asarray(coords, dtype=np.float64)
         colors = np.asarray(colors, dtype=np.float64)
@@ -48,7 +49,7 @@ class SegmentationModel(Module):
             was_training = self.training
             self.eval()
             # Reporting always runs in float64, whatever policy is active.
-            with use_policy(ComputePolicy.exact()):
+            with use_policy(ComputePolicy.exact()), freeze_parameters(self):
                 logits = self.forward(Tensor(coords), Tensor(colors)).data
             if was_training:
                 self.train()

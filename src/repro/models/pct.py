@@ -36,8 +36,8 @@ class SelfAttentionBlock:
         queries = self.query(features)                       # (B, N, C)
         keys = self.key(features)
         values = self.value(features)
-        scores = queries @ keys.swapaxes(1, 2) * self.scale  # (B, N, N)
-        attention = softmax(scores, axis=-1)
+        scores = queries @ keys.swapaxes(1, 2)               # (B, N, N)
+        attention = softmax(scores, axis=-1, scale=self.scale)
         attended = attention @ values
         return features + self.output(attended)
 

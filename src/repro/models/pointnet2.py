@@ -87,7 +87,7 @@ class SetAbstraction:
         relative = neighbour_coords - centroids.expand_dims(2)
         neighbour_feats = gather_points(features, group_idx)     # (B, M, K, C)
         grouped = concatenate([relative, neighbour_feats], axis=-1)
-        pooled = self.mlp(grouped).max(axis=2)                   # (B, M, C')
+        pooled = self.mlp.max_pool(grouped, axis=2)              # (B, M, C')
         return centroids, pooled
 
 

@@ -29,6 +29,7 @@ from ..nn import (
     Linear,
     SharedMLP,
     Tensor,
+    bias_bn_relu_max,
     concatenate,
     gather_points,
 )
@@ -46,26 +47,20 @@ class EdgeConvBlock:
         neighbours = gather_points(features, neighbor_idx)           # (B, N, K, C)
         center = features.expand_dims(2)                             # (B, N, 1, C)
         diff = neighbours - center
+        linear, norm, _ = self.mlp.body.children_list
         if current_policy().is_exact:
             center_tiled = center.broadcast_to(neighbours.shape)     # view, no copy
-            edge = concatenate([center_tiled, diff], axis=-1)
-            aggregated = self.mlp(edge).max(axis=2)
+            pre = concatenate([center_tiled, diff], axis=-1) @ linear.weight
         else:
             # Fast-math: split the first Linear's weight over the two halves
             # of the edge vector — ``[x_i, x_j - x_i] @ W`` becomes
             # ``x_i @ W_top + (x_j - x_i) @ W_bot`` — so the (B, N, K, 2C)
             # edge tensor is never materialised and the centre half of the
             # product runs on 1/K of the data.
-            linear, *rest = self.mlp.body.children_list
             pre = (center @ linear.weight[: self.channels]
                    + diff @ linear.weight[self.channels:])
-            if linear.bias is not None:
-                pre = pre + linear.bias
-            out = pre
-            for module in rest:
-                out = module(out)
-            aggregated = out.max(axis=2)
-        return features + aggregated
+        # Bias, BatchNorm, ReLU and the neighbour max: one fused op when frozen.
+        return features + bias_bn_relu_max(pre, linear.bias, norm, axis=2)
 
 
 class ResGCNSeg(SegmentationModel):

@@ -36,7 +36,16 @@ from .functional import (
     softmax,
 )
 from .graph import GraphRecorder, recording
-from .layers import BatchNorm, Dropout, LeakyReLU, Linear, ReLU, Sequential, SharedMLP
+from .layers import (
+    BatchNorm,
+    Dropout,
+    LeakyReLU,
+    Linear,
+    ReLU,
+    Sequential,
+    SharedMLP,
+    bias_bn_relu_max,
+)
 from .module import Module, Parameter
 from .ops import OPS, OpDef, register
 from .optim import SGD, Adam, Optimizer, StepLR
@@ -91,6 +100,7 @@ __all__ = [
     "LeakyReLU",
     "Sequential",
     "SharedMLP",
+    "bias_bn_relu_max",
     "Optimizer",
     "SGD",
     "Adam",

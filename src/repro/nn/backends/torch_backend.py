@@ -196,6 +196,29 @@ def _k_gather_points(inputs, params, pcache):
     return gathered.reshape(params["index_shape"] + (channels,))
 
 
+def _k_softmax(inputs, params, pcache):
+    x = inputs[0]
+    if params["scale"] is not None:
+        x = x * _cached(pcache, "scale",
+                        lambda: torch.as_tensor(params["scale"]))
+    return torch.softmax(x, dim=params["axis"])
+
+
+_CHANNEL_OPS = {np.add: torch.add, np.multiply: torch.mul,
+                np.divide: torch.div}
+
+
+def _k_bn_relu_max(inputs, params, pcache):
+    steps = _cached(pcache, "steps", lambda: [
+        (_CHANNEL_OPS[ufunc], torch.as_tensor(constant))
+        for ufunc, constant in params["steps"]])
+    x = inputs[0]
+    for op, constant in steps:
+        x = op(x, constant)
+    # Same ReLU and tie-sharing max subgradients as _k_relu / _k_max.
+    return torch.amax(x * (x > 0), dim=params["axis"])
+
+
 KERNELS = {
     "add": _k_add,
     "neg": _k_neg,
@@ -226,6 +249,8 @@ KERNELS = {
     "maximum": _k_maximum,
     "where": _k_where,
     "gather_points": _k_gather_points,
+    "softmax": _k_softmax,
+    "bn_relu_max": _k_bn_relu_max,
 }
 
 

@@ -8,20 +8,25 @@ import numpy as np
 
 from ..accel.cache import neighborhoods
 from ..accel.policy import compute_dtype
-from .tensor import Tensor, as_tensor, detached_max, gather_points, maximum, where
+from ..geometry.knn import query_workers
+from .ops import OPS
+from .tensor import (Tensor, _apply, as_tensor, detached_max, gather_points,
+                     maximum, where)
 
 
-def softmax(logits: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along ``axis``.
+def softmax(logits: Tensor, axis: int = -1,
+            scale: Optional[float] = None) -> Tensor:
+    """Numerically stable softmax of ``logits * scale`` along ``axis``.
 
-    The stabilising shift is a recorded gradient-free op (not a baked
-    constant), so captured plans recompute it per step — see
-    :func:`repro.nn.tensor.detached_max`.
+    One fused registry op (``OPS["softmax"]``).  It computes the same bits
+    as the composite ``shifted = x * scale - max(x * scale)``,
+    ``exp(shifted) / exp(shifted).sum(axis)`` chain, with and without
+    autograd, but runs it one cache-sized block of rows at a time and keeps
+    none of the chain's intermediates for the backward pass.
     """
-    logits = as_tensor(logits)
-    shifted = logits - detached_max(logits, axis=axis)
-    exp = shifted.exp()
-    return exp / exp.sum(axis=axis, keepdims=True)
+    params = {"axis": axis, "scale": None if scale is None
+              else np.asarray(scale, dtype=compute_dtype())}
+    return _apply(OPS["softmax"], (as_tensor(logits),), params)
 
 
 def log_softmax(logits: Tensor, axis: int = -1) -> Tensor:
@@ -105,13 +110,66 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) ->
     return x * Tensor(mask)
 
 
+def _dense_nearest(source: np.ndarray, target: np.ndarray,
+                   k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``k`` nearest sources of each target and their squared distances,
+    by sorting every target's full distance row."""
+    diff = target[..., :, None, :] - source[..., None, :, :]
+    dist2 = np.sum(diff ** 2, axis=-1)
+    idx = np.argsort(dist2, axis=-1)[..., :k]
+    return idx, np.take_along_axis(dist2, idx, axis=-1)
+
+
+#: Relative gap, in machine epsilons, by which a kd-tree row's k-th
+#: re-ranked distance must undercut the tree's farthest candidate before
+#: the candidates are taken as the exact k nearest.  Either distance
+#: formula errs by a few units in the last place.
+_TREE_MARGIN_EPS = 16
+
+
+def _nearest_sources(source: np.ndarray, target: np.ndarray, k: int,
+                     tree) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`_dense_nearest` for one cloud, through a kd-tree.
+
+    The tree proposes ``k + 1`` candidates per target, which are re-ranked
+    with the dense distance formula.  A row keeps them when its ``k``
+    re-ranked distances strictly increase and the ``k``-th undercuts the
+    tree's farthest candidate by :data:`_TREE_MARGIN_EPS` epsilons: then no
+    other source can come closer, and no tie leaves the order to the sort
+    algorithm.  Other rows (duplicate sources, near-ties) take the dense
+    sort, so every row equals the dense result bit for bit.
+    """
+    if k >= len(source):
+        return _dense_nearest(source, target, k)
+    tree_dist, candidates = tree.query(target, k=k + 1,
+                                       workers=query_workers())
+    dist2 = np.sum((target[:, None, :] - source[candidates]) ** 2, axis=-1)
+    order = np.argsort(dist2, axis=-1, kind="stable")
+    ranked = np.take_along_axis(dist2, order, axis=-1)
+    margin = _TREE_MARGIN_EPS * np.finfo(dist2.dtype).eps
+    proven = ((ranked[:, k - 1] < ranked[:, k])
+              & (ranked[:, k - 1] < tree_dist[:, k] ** 2 * (1.0 - margin))
+              & np.all(ranked[:, 1:k] > ranked[:, :k - 1], axis=-1))
+    idx = np.take_along_axis(candidates, order[:, :k], axis=-1)
+    nearest = ranked[:, :k]
+    rows = np.flatnonzero(~proven)
+    if rows.size:
+        idx[rows], nearest[rows] = _dense_nearest(source, target[rows], k)
+    return idx, nearest
+
+
 def _interpolation_weights(source_coords: np.ndarray, target_coords: np.ndarray,
                            k: int, eps: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Neighbour indices and inverse-distance weights for interpolation."""
-    diff = target_coords[:, :, None, :] - source_coords[:, None, :, :]
-    dist2 = np.sum(diff ** 2, axis=-1)
-    idx = np.argsort(dist2, axis=-1)[:, :, :k]
-    nearest = np.take_along_axis(dist2, idx, axis=-1)
+    """Neighbour indices and inverse-distance weights for interpolation.
+
+    Equal, bit for bit, to sorting every target's dense distance row; the
+    candidates come from the active cache's shared kd-tree of each cloud.
+    """
+    cache = neighborhoods()
+    pairs = [_nearest_sources(source, target, k, cache.tree(source))
+             for source, target in zip(source_coords, target_coords)]
+    idx = np.stack([pair[0] for pair in pairs])
+    nearest = np.stack([pair[1] for pair in pairs])
     weights = 1.0 / (nearest + eps)
     weights = weights / weights.sum(axis=-1, keepdims=True)
     return idx, weights

@@ -10,7 +10,8 @@ from ..accel.policy import compute_dtype, current_policy
 from . import init
 from .functional import dropout
 from .module import Module, Parameter
-from .tensor import Tensor
+from .ops import OPS
+from .tensor import Tensor, _apply
 
 
 class Linear(Module):
@@ -100,6 +101,40 @@ class BatchNorm(Module):
             normalized = (x - mean) / std
         return normalized * self.gamma + self.beta
 
+    def eval_steps(self) -> tuple:
+        """The evaluation-mode :meth:`forward` as ``(ufunc, constant)`` steps.
+
+        Applied in order to the input, the steps round exactly as the
+        forward's tensor ops do; the constants come from the same tensor
+        expressions.  Fused kernels take these in place of the op-by-op
+        chain.
+        """
+        mean, std = self._eval_stats()
+        if not current_policy().is_exact:
+            scale = self.gamma / std
+            shift = self.beta - mean * scale
+            return ((np.multiply, scale.data), (np.add, shift.data))
+        return ((np.add, (-mean).data), (np.divide, std.data),
+                (np.multiply, self.gamma.data), (np.add, self.beta.data))
+
+
+def bias_bn_relu_max(pre: Tensor, bias: Optional[Tensor], norm: BatchNorm,
+                     axis: int) -> Tensor:
+    """``relu(norm(pre + bias)).max(axis)``: a pooled Linear's tail.
+
+    With ``norm`` in evaluation mode and ``bias``, ``gamma`` and ``beta``
+    frozen (attacks and reporting forwards), the chain runs as the fused
+    ``OPS["bn_relu_max"]`` op, bit-for-bit equal to the composite ops
+    that run otherwise (training-mode BatchNorm, trainable parameters).
+    """
+    if norm.training or any(param is not None and param.requires_grad
+                            for param in (bias, norm.gamma, norm.beta)):
+        out = pre if bias is None else pre + bias
+        return norm(out).relu().max(axis=axis)
+    steps = () if bias is None else ((np.add, bias.data),)
+    return _apply(OPS["bn_relu_max"], (pre,),
+                  {"axis": axis, "steps": steps + norm.eval_steps()})
+
 
 class Dropout(Module):
     """Inverted dropout layer (identity in evaluation mode)."""
@@ -175,10 +210,20 @@ class SharedMLP(Module):
     def forward(self, x: Tensor) -> Tensor:
         return self.body(x)
 
+    def max_pool(self, x: Tensor, axis: int) -> Tensor:
+        """``self(x).max(axis)``, the last layer's tail through
+        :func:`bias_bn_relu_max` (needs ``batch_norm`` and a final
+        activation)."""
+        *head, linear, norm, _ = self.body.children_list
+        for module in head:
+            x = module(x)
+        return bias_bn_relu_max(x @ linear.weight, linear.bias, norm, axis)
+
 
 __all__ = [
     "Linear",
     "BatchNorm",
+    "bias_bn_relu_max",
     "Dropout",
     "ReLU",
     "LeakyReLU",

@@ -21,6 +21,7 @@ bitwise identical to the pre-table engine.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -59,15 +60,17 @@ def _fast_max(data: np.ndarray, axis: int) -> np.ndarray:
     n = data.shape[axis]
     if n <= 2:
         return data.max(axis=axis, keepdims=True)
-    moved = np.moveaxis(data, axis, 0)
-    while moved.shape[0] > 1:
-        m = moved.shape[0]
-        half = m // 2
-        paired = np.maximum(moved[:half], moved[half:2 * half])
-        if m % 2:
-            paired[0] = np.maximum(paired[0], moved[-1])
-        moved = paired
-    return np.moveaxis(moved, 0, axis)
+    head = (slice(None),) * (axis % data.ndim)
+    while n > 1:
+        half = n // 2
+        paired = np.maximum(data[head + (slice(0, half),)],
+                            data[head + (slice(half, 2 * half),)])
+        if n % 2:
+            first = head + (slice(0, 1),)
+            paired[first] = np.maximum(paired[first],
+                                       data[head + (slice(n - 1, n),)])
+        data, n = paired, half
+    return data
 
 
 class OpDef:
@@ -80,7 +83,7 @@ class OpDef:
     forward / vjp:
         The kernels (see module docstring for the VJP convention).
     differentiable:
-        ``False`` marks data-dependent-constant ops (e.g. the softmax shift):
+        ``False`` marks data-dependent-constant ops (e.g. the log-softmax shift):
         they are recorded in captured graphs so replay recomputes them, but no
         gradient ever flows through them.
     fuse:
@@ -414,7 +417,10 @@ def _max_vjp(grad, out, inputs, params, needs):
         max_keep = out.reshape(shape)
         g = grad.reshape(shape)
     mask = (x == max_keep)
-    counts = mask.sum(axis=axis, keepdims=True)
+    # Counts in the input dtype: an int64 divisor would promote a float32
+    # gradient to float64.  Both roundings of the quotient agree (float64
+    # carries more than twice float32's precision), so the bits do not move.
+    counts = mask.sum(axis=axis, keepdims=True, dtype=x.dtype)
     return (mask * g / counts,)
 
 
@@ -425,7 +431,7 @@ def _detached_max_fwd(inputs, params):
     return inputs[0].max(axis=params["axis"], keepdims=True)
 
 
-# The numerically-stabilising shift of softmax/log_softmax: a data-dependent
+# The numerically-stabilising shift of log_softmax: a data-dependent
 # constant.  Declaring it as a recorded, gradient-free op (instead of a bare
 # ``Tensor(x.data.max(...))``) is what keeps captured plans valid when the
 # logits change between steps — replay recomputes the shift.
@@ -611,4 +617,165 @@ def _gather_points_vjp(grad, out, inputs, params, needs):
 register("gather_points", _gather_points_fwd, _gather_points_vjp, fuse="gather")
 
 
-__all__ = ["OpDef", "OPS", "register", "_unbroadcast", "_fast_max"]
+# ---------------------------------------------------------------------- #
+# Fused chains
+# ---------------------------------------------------------------------- #
+# Each op below runs a composite chain's NumPy expressions in the chain's
+# order, one block of rows at a time, so its outputs and gradients are
+# bit-for-bit those of the composite ops.  A block and its temporaries stay
+# cache-resident; the composite streams every intermediate through memory
+# and keeps it alive for the backward pass.  The VJPs recompute the forward
+# chain of a block instead of saving it.
+
+#: Elements per row block.  Paper-shape rows (4096 attention scores, 16×64
+#: pooling inputs) are cut into cache-sized blocks; a default-scale input
+#: (a few hundred points) runs as one or two blocks.
+BLOCK_ELEMENTS = 1 << 16
+
+
+def _rows_view(x: np.ndarray, axis: int) -> np.ndarray:
+    """``x`` as ``(rows, n)`` or ``(rows, n, inner)``, reduced ``axis`` second.
+
+    The leading axes become independent rows and the trailing axes stay
+    behind the reduced one, so reducing a block of rows runs the same inner
+    loops, in the same order, as reducing the whole array.
+    """
+    axis %= x.ndim
+    shape = (math.prod(x.shape[:axis]), x.shape[axis])
+    if axis < x.ndim - 1:
+        shape += (math.prod(x.shape[axis + 1:]),)
+    return x.reshape(shape)
+
+
+def _row_blocks(rows: np.ndarray, *dtypes):
+    """Yield ``(start, stop, buffers)`` over blocks of at most
+    :data:`BLOCK_ELEMENTS` elements of ``rows``.
+
+    One scratch buffer per dtype is allocated for the whole call; each
+    block gets its leading ``stop - start`` rows.
+    """
+    step = max(BLOCK_ELEMENTS // max(math.prod(rows.shape[1:]), 1), 1)
+    buffers = [np.empty((min(step, len(rows)),) + rows.shape[1:], dtype)
+               for dtype in dtypes]
+    for start in range(0, len(rows), step):
+        stop = min(start + step, len(rows))
+        yield start, stop, [buf[:stop - start] for buf in buffers]
+
+
+def _shifted_exp(x: np.ndarray, scale, buf: np.ndarray):
+    """``exp(x·scale − max)`` into ``buf`` and its sums over axis 1.
+
+    The composite ``(x * scale) - detached_max(...)``, ``.exp()`` and
+    ``.sum(axis, keepdims=True)``; ``a - m`` rounds as ``a + (-m)`` does.
+    """
+    shifted = x if scale is None else np.multiply(x, scale, out=buf)
+    np.subtract(shifted, shifted.max(axis=1, keepdims=True), out=buf)
+    np.exp(buf, out=buf)
+    return buf, buf.sum(axis=1, keepdims=True)
+
+
+def _softmax_fwd(inputs, params):
+    x = inputs[0]
+    axis, scale = params["axis"], params["scale"]
+    out = np.empty(x.shape, dtype=x.dtype)
+    rows, dest = _rows_view(x, axis), _rows_view(out, axis)
+    for start, stop, (buf,) in _row_blocks(rows, x.dtype):
+        exp, total = _shifted_exp(rows[start:stop], scale, buf)
+        np.divide(exp, total, out=dest[start:stop])
+    return out
+
+
+def _softmax_vjp(grad, out, inputs, params, needs):
+    # The composite's VJPs in its backward order: div (numerator, then the
+    # denominator summed over the axis), sum's broadcast added to the
+    # numerator branch, exp, then the scale's mul.
+    x = inputs[0]
+    axis, scale = params["axis"], params["scale"]
+    dtype = np.result_type(grad, x)
+    result = np.empty(x.shape, dtype=dtype if scale is None
+                      else np.result_type(dtype, scale))
+    rows, grads = _rows_view(x, axis), _rows_view(grad, axis)
+    dest = _rows_view(result, axis)
+    for start, stop, (buf, t) in _row_blocks(rows, x.dtype, dtype):
+        exp, total = _shifted_exp(rows[start:stop], scale, buf)
+        g = grads[start:stop]
+        np.negative(g, out=t)
+        np.multiply(t, exp, out=t)
+        np.divide(t, total ** 2, out=t)
+        total_grad = t.sum(axis=1, keepdims=True)
+        np.divide(g, total, out=t)
+        np.add(t, total_grad, out=t)
+        if scale is None:
+            np.multiply(t, exp, out=dest[start:stop])
+        else:
+            np.multiply(t, exp, out=t)
+            np.multiply(t, scale, out=dest[start:stop])
+    return (result,)
+
+
+# Softmax of ``x · scale`` (``scale`` a 0-d array or None) along ``axis``.
+register("softmax", _softmax_fwd, _softmax_vjp)
+
+
+def _channel_chain(y: np.ndarray, steps, buf: np.ndarray):
+    """``relu`` of the channel-wise ``steps`` applied to ``y``, into ``buf``.
+
+    Returns the ReLU output and its positive mask.  ``steps`` are
+    ``(ufunc, constant)`` pairs: the bias add and a BatchNorm's eval-mode
+    arithmetic (:meth:`repro.nn.layers.BatchNorm.eval_steps`).  The ReLU is
+    the composite's ``x * (x > 0)``.
+    """
+    value = y
+    for ufunc, constant in steps:
+        value = ufunc(value, constant, out=buf)
+    positive = value > 0
+    np.multiply(value, positive, out=buf)
+    return buf, positive
+
+
+def _bn_relu_max_fwd(inputs, params):
+    y = inputs[0]
+    axis, steps = params["axis"], params["steps"]
+    keep = list(y.shape)
+    keep[axis % y.ndim] = 1
+    out = np.empty(keep, dtype=y.dtype)
+    rows, dest = _rows_view(y, axis), _rows_view(out, axis)
+    for start, stop, (buf,) in _row_blocks(rows, y.dtype):
+        relu, _ = _channel_chain(rows[start:stop], steps, buf)
+        dest[start:stop] = _fast_max(relu, 1)
+    return np.squeeze(out, axis=axis)
+
+
+def _bn_relu_max_vjp(grad, out, inputs, params, needs):
+    # The composite's VJPs in reverse: max (tie-shared), ReLU, then the
+    # steps' mul/div (adds pass the gradient through unchanged).
+    y = inputs[0]
+    axis, steps = params["axis"], params["steps"]
+    keep = list(y.shape)
+    keep[axis % y.ndim] = 1
+    dtype = np.result_type(grad, y)
+    result = np.empty(y.shape, dtype=dtype)
+    rows, dest = _rows_view(y, axis), _rows_view(result, axis)
+    maxes = _rows_view(out.reshape(keep), axis)
+    grads = _rows_view(grad.reshape(keep), axis)
+    for start, stop, (buf,) in _row_blocks(rows, y.dtype):
+        relu, positive = _channel_chain(rows[start:stop], steps, buf)
+        mask = relu == maxes[start:stop]
+        counts = mask.sum(axis=1, keepdims=True, dtype=relu.dtype)
+        g = np.multiply(mask, grads[start:stop], out=dest[start:stop])
+        np.divide(g, counts, out=g)
+        np.multiply(g, positive, out=g)
+        for ufunc, constant in reversed(steps):
+            if ufunc is not np.add:
+                ufunc(g, constant, out=g)
+    return (result,)
+
+
+# ``relu(y ∘ steps).max(axis)``: bias, eval-mode BatchNorm, ReLU and the
+# neighbour max of a pooled Linear → BatchNorm → ReLU tail; ``steps`` are
+# ``(np.add | np.multiply | np.divide, constant)`` pairs.
+register("bn_relu_max", _bn_relu_max_fwd, _bn_relu_max_vjp)
+
+
+__all__ = ["OpDef", "OPS", "register", "_unbroadcast", "_fast_max",
+           "BLOCK_ELEMENTS"]

@@ -408,7 +408,7 @@ def where(condition: np.ndarray, a: ArrayLike, b: ArrayLike) -> Tensor:
 def detached_max(x: Tensor, axis: int = -1) -> Tensor:
     """``x.max(axis, keepdims=True)`` as a recorded, gradient-free op.
 
-    Used for the numerically-stabilising shift of softmax/log-softmax: the
+    Used for the numerically-stabilising shift of log-softmax: the
     value is data-dependent but must not carry gradient.  Unlike wrapping the
     NumPy result in a fresh constant tensor, this records a graph node, so
     compiled plans recompute the shift on every replayed step instead of

@@ -195,6 +195,8 @@ class TestExactnessGolden:
         "resgcn/unbounded/coordinate",
         "resgcn/bounded/color",
         "randlanet/unbounded/color",
+        "pct/unbounded/coordinate",
+        "pct/bounded/color",
     ])
     def test_exact_mode_reproduces_seed(self, golden, golden_arrays, case):
         model_name, method, field = case.split("/")

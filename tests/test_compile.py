@@ -16,7 +16,7 @@ import pytest
 
 from repro.accel.policy import ComputePolicy
 from repro.core import AttackConfig
-from repro.nn import Tensor
+from repro.nn import BatchNorm, Tensor, bias_bn_relu_max, softmax
 from repro.nn.backends import available_backends, has_torch
 from repro.nn.compile import (PlanCache, compile_plan, plan_cache,
                               use_plan_cache)
@@ -24,6 +24,28 @@ from repro.nn.graph import GraphRecorder, recording
 from repro.telemetry.profiler import profile_ops
 
 RNG = np.random.default_rng(42)
+
+
+def _frozen_norm(channels: int) -> BatchNorm:
+    norm = BatchNorm(channels)
+    norm.running_mean = RNG.standard_normal(channels)
+    norm.running_var = RNG.uniform(0.5, 2.0, channels)
+    norm.eval()
+    for param in norm.parameters():
+        param.requires_grad = False
+    return norm
+
+
+_NORM = _frozen_norm(3)
+_BIAS = Tensor(RNG.standard_normal(3))
+
+#: One step per fused op (and softmax axis): input shape, step function.
+FUSED_STEPS = {
+    "softmax": ((1, 9, 9), lambda x: softmax(x, axis=-1, scale=0.5)),
+    "softmax_axis2": ((2, 5, 4, 3), lambda x: softmax(x, axis=2)),
+    "bn_relu_max": ((2, 5, 4, 3),
+                    lambda x: bias_bn_relu_max(x, _BIAS, _NORM, axis=2)),
+}
 
 
 def _network(x: Tensor, w: Tensor, b: Tensor):
@@ -271,3 +293,22 @@ class TestTorchExecutor:
                                    rtol=1e-5, atol=1e-6)
         np.testing.assert_allclose(torched.grads["x"], reference.grads["x"],
                                    rtol=1e-5, atol=1e-6)
+
+    @pytest.mark.parametrize("op", sorted(FUSED_STEPS))
+    def test_fused_op_plans_allclose(self, op):
+        """The fused ops' torch kernels track the numpy kernels."""
+        shape, step = FUSED_STEPS[op]
+        x = Tensor(RNG.standard_normal(shape), requires_grad=True)
+        recorder = GraphRecorder({"x": x})
+        with recording(recorder):
+            y = step(x)
+            loss = (y * y).sum()
+        plan = compile_plan(recorder, {"y": y}, loss)
+        feed = RNG.standard_normal(shape)
+        reference = plan.execute({"x": feed})
+        torched = plan.execute({"x": feed}, backend="torch")
+        np.testing.assert_allclose(torched.outputs["y"],
+                                   reference.outputs["y"],
+                                   rtol=1e-8, atol=1e-9)
+        np.testing.assert_allclose(torched.grads["x"], reference.grads["x"],
+                                   rtol=1e-8, atol=1e-9)
