@@ -11,7 +11,7 @@ This package concentrates the performance knobs that every other subsystem
 * :func:`attack_compute` — the single context manager attack engines wrap
   around their optimisation loop: it activates the dtype policy, casts the
   victim model, freezes its parameters (input gradients only) and installs
-  a fresh neighbourhood cache.
+  a fresh neighbourhood cache and forward-plan cache.
 
 Exactness contract: under ``ComputePolicy.exact()`` every code path in this
 layer is bit-for-bit identical to the seed implementation — verified by the
@@ -44,9 +44,10 @@ def attack_compute(model, config, *,
     Derives the :class:`ComputePolicy` from ``config`` (honouring the
     ``REPRO_ACCEL`` override), activates it, casts ``model`` to the policy
     dtype, freezes its parameters, and installs a fresh
-    :class:`NeighborhoodCache` with the policy's refresh interval.  Yields
-    the cache; the engine calls :meth:`NeighborhoodCache.advance` once per
-    optimisation step.
+    :class:`NeighborhoodCache` with the policy's refresh interval, plus a
+    :class:`repro.nn.compile.PlanCache` for the black-box engines'
+    forward-only plans.  Yields the neighbourhood cache; the engine calls
+    :meth:`NeighborhoodCache.advance` once per optimisation step.
 
     ``neighbor_refresh`` overrides the cache's staleness interval without
     touching the dtype policy.  The black-box engines pin it to 1: slot
@@ -65,8 +66,7 @@ def attack_compute(model, config, *,
                               if neighbor_refresh is not None
                               else policy.neighbor_refresh)
     cache.reset_stats()
-    plans = (PlanCache(backend=policy.tensor_backend)
-             if policy.graph_capture else None)
+    plans = PlanCache()
     tracer = get_tracer()
     start = time.perf_counter()
     try:
@@ -77,7 +77,7 @@ def attack_compute(model, config, *,
     finally:
         stats = cache.stats()
         _last_attack_stats = stats
-        _last_plan_stats = dict(plans.stats) if plans is not None else {}
+        _last_plan_stats = dict(plans.stats)
         record_cache_stats(stats)
         if tracer.enabled:
             engine = getattr(config, "engine_name", None)
@@ -85,15 +85,13 @@ def attack_compute(model, config, *,
                         dur_s=time.perf_counter() - start,
                         steps=stats["step"], dtype=str(policy.dtype),
                         refresh=cache.refresh_interval, cache=stats,
-                        backend=policy.tensor_backend,
-                        plans=_last_plan_stats or None)
+                        plans=_last_plan_stats)
             tracer.count("attacks", 1)
             tracer.count("attack_steps", stats["step"])
             for key in ("exact_hits", "stale_hits", "misses", "tree_hits"):
                 tracer.count(f"cache.{key}", stats[key])
-            if plans is not None:
-                tracer.count("plan.replays", plans.stats["replays"])
-                tracer.count("plan.captures", plans.stats["captures"])
+            tracer.count("plan.replays", plans.stats["replays"])
+            tracer.count("plan.captures", plans.stats["captures"])
 
 
 def _maybe_profile(tracer):
@@ -116,8 +114,8 @@ def last_attack_cache_stats() -> Dict[str, int]:
 def last_attack_plan_stats() -> Dict[str, int]:
     """Plan-cache stats of the most recent attack run (diagnostics).
 
-    Empty when the run had graph capture disabled.  Keys: ``programs``,
-    ``captures``, ``replays``, ``fallbacks``.
+    Keys: ``programs``, ``captures``, ``replays``, ``fallbacks``.  Only the
+    black-box engines capture plans; white-box runs report zeros.
     """
     return dict(_last_plan_stats)
 

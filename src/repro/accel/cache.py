@@ -21,9 +21,13 @@ arrays:
 
 With ``refresh_interval = 1`` the cache is a pure memoiser: it never returns
 a graph computed from different bytes than the current input, which keeps
-exactness mode bit-for-bit identical to the seed implementation.  kd-trees
-themselves are cached by content fingerprint so one tree per scene serves
-queries at every ``k`` and dilation.
+exactness mode bit-for-bit identical to the seed implementation.  Slots buy
+nothing there (only exact-content hits are allowed), and one entry per slot
+would let two inputs that alternate on a slot — a black-box check forward
+and its probe forward, say — evict each other on every call, so refresh-1
+lookups go to the content-keyed LRU instead.  kd-trees themselves are
+cached by content fingerprint so one tree per scene serves queries at every
+``k`` and dilation.
 
 The *active* cache is process-global: attack engines install a fresh cache
 (:func:`use_cache`) around their optimisation loop and call
@@ -177,14 +181,17 @@ class NeighborhoodCache:
         affects the result — ``k``, dilation, ...).  ``slot`` is a hashable
         call-site label stable across attack steps; when given, the stale
         graph from fewer than ``refresh_interval`` steps ago may be reused.
-        With ``slot=None`` the lookup is purely content-keyed: exact hits
-        only, stored in a bounded LRU.  Callers that already fingerprinted
-        the arrays (to share the digest with :meth:`tree`) pass ``digests``
-        to skip rehashing.
+        With ``slot=None``, or with ``refresh_interval == 1`` (where a slot
+        could only ever return exact hits), the lookup is purely
+        content-keyed: exact hits only, stored in a bounded LRU.  Every
+        memoised compute is a pure function of ``op_key`` and the input
+        bytes, so both paths return the same values.  Callers that already
+        fingerprinted the arrays (to share the digest with :meth:`tree`)
+        pass ``digests`` to skip rehashing.
         """
         fp = (b"".join(digests) if digests is not None
               else _combined_fingerprint(arrays))
-        if slot is None:
+        if slot is None or self.refresh_interval == 1:
             content_key = (*op_key, fp)
             cached = self._content.get(content_key)
             if cached is not None:
@@ -209,8 +216,7 @@ class NeighborhoodCache:
             if entry.fp == fp:
                 self.exact_hits += 1
                 return entry.value
-            if (self.refresh_interval > 1
-                    and self.step - entry.step < self.refresh_interval):
+            if self.step - entry.step < self.refresh_interval:
                 self.stale_hits += 1
                 return entry.value
         value = compute()

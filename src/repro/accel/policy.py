@@ -49,14 +49,6 @@ class ComputePolicy:
     dtype: np.dtype = np.dtype(np.float64)
     neighbor_refresh: int = 1
     smoothness_neighbors: str = "current"
-    # Compiled tensor engine knobs (repro.nn.compile): whether engines may
-    # capture step graphs and replay compiled plans, and which backend
-    # executes them.  ``graph_capture`` is bitwise-neutral (replay is
-    # bit-for-bit identical to eager); ``tensor_backend="torch"`` is not
-    # (allclose only), so the backend participates in result-store salting
-    # while capture does not.
-    tensor_backend: str = "numpy"
-    graph_capture: bool = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dtype", np.dtype(self.dtype))
@@ -66,8 +58,6 @@ class ComputePolicy:
             raise ValueError("neighbor_refresh must be >= 1")
         if self.smoothness_neighbors not in ("clean", "current"):
             raise ValueError("smoothness_neighbors must be 'clean' or 'current'")
-        if self.tensor_backend not in ("numpy", "torch"):
-            raise ValueError("tensor_backend must be 'numpy' or 'torch'")
 
     @property
     def is_exact(self) -> bool:
@@ -98,21 +88,13 @@ class ComputePolicy:
 
         The ``REPRO_ACCEL`` environment variable ("fast" / "exact")
         overrides the configuration, so a whole benchmark or pipeline run
-        can be forced into either mode externally.  The compiled-engine
-        knobs are threaded independently of that override (``REPRO_ACCEL``
-        selects arithmetic, not the executor): ``REPRO_BACKEND`` picks the
-        plan backend and ``REPRO_CAPTURE=0`` disables graph capture.
+        can be forced into either mode externally.
         """
-        backend, capture = cls._engine_knobs(config)
         override = os.environ.get("REPRO_ACCEL", "").strip().lower()
         if override == "fast":
-            return cls(dtype=np.float32, neighbor_refresh=5,
-                       smoothness_neighbors="clean",
-                       tensor_backend=backend, graph_capture=capture)
+            return cls.fast()
         if override == "exact":
-            return cls(dtype=np.float64, neighbor_refresh=1,
-                       smoothness_neighbors="current",
-                       tensor_backend=backend, graph_capture=capture)
+            return cls.exact()
         if override:
             # A typo must not silently fall back to fast-math in a workflow
             # that believes it is verifying exactness.
@@ -121,21 +103,7 @@ class ComputePolicy:
                 f"'exact' or unset")
         return cls(dtype=_DTYPES[config.compute_dtype],
                    neighbor_refresh=config.neighbor_refresh,
-                   smoothness_neighbors=config.smoothness_neighbors,
-                   tensor_backend=backend, graph_capture=capture)
-
-    @staticmethod
-    def _engine_knobs(config) -> Tuple[str, bool]:
-        """Resolve (tensor_backend, graph_capture) from config + environment."""
-        backend = os.environ.get("REPRO_BACKEND", "").strip().lower()
-        if not backend:
-            backend = getattr(config, "tensor_backend", "numpy")
-        capture_env = os.environ.get("REPRO_CAPTURE", "").strip().lower()
-        if capture_env:
-            capture = capture_env not in ("0", "false", "no", "off")
-        else:
-            capture = bool(getattr(config, "graph_capture", True))
-        return backend, capture
+                   smoothness_neighbors=config.smoothness_neighbors)
 
 
 # ------------------------------------------------------------------ #

@@ -9,7 +9,6 @@ engine, and returns a fully evaluated :class:`AttackResult`.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -22,7 +21,8 @@ from .config import (AttackConfig, AttackMethod, AttackMode, AttackObjective,
                      AttackResult)
 from .norm_bounded import NormBoundedAttack
 from .norm_unbounded import NormUnboundedAttack
-from .perturbation import PerturbationSpec, class_mask, full_mask
+from .perturbation import (PerturbationSpec, PreparedScene, class_mask,
+                           full_mask)
 from .random_noise import RandomNoiseBaseline
 
 
@@ -108,31 +108,15 @@ def run_attack(model: SegmentationModel, scene: PointCloudScene,
     )
 
 
-@dataclass
-class PreparedScene:
-    """One scene, normalised and ready for a (batched) attack engine."""
-
-    coords: np.ndarray
-    colors: np.ndarray
-    labels: np.ndarray
-    spec: PerturbationSpec
-    target_labels: Optional[np.ndarray]
-    rng: Optional[np.random.Generator]
-    scene_name: str = ""
-
-    @property
-    def num_points(self) -> int:
-        return int(np.asarray(self.coords).shape[0])
-
-
 def _prepare_for_batch(model: SegmentationModel, scene: PointCloudScene,
                        config: AttackConfig, scene_rng: np.random.Generator,
                        num_points: Optional[int]) -> PreparedScene:
     """Mirror ``run_attack``'s pre-engine work for one scene.
 
-    The RNG consumption order matches the serial path exactly:
+    The RNG consumption order matches ``run_attack`` exactly:
     ``prepare_scene`` draws first, and the same generator object is then
-    handed to the engine for its random starts / plateau restarts.
+    handed to the engine for its random starts / plateau restarts.  Raises
+    ``ValueError`` when an object-hiding scene lacks the source class.
     """
     prepared = prepare_scene(scene, model.spec, num_points=num_points,
                              rng=scene_rng)
@@ -163,31 +147,18 @@ def run_attack_batch(model: SegmentationModel, scenes: Sequence[PointCloudScene]
     The ``rng`` parameter is kept for backwards compatibility but no longer
     participates in seeding.
 
-    With ``config.batch_scenes > 1``, same-size scenes are coalesced into
-    groups of up to ``batch_scenes`` and each group runs through the
-    engine's batched loop — one forward/backward per step for the whole
-    group.  Per-scene seeds, masks and early stopping are preserved, so the
-    returned results are identical to a ``batch_scenes=1`` run, in the same
-    order.  The random-noise baseline is a single model query per scene and
-    always runs serially.
+    Same-size scenes are coalesced into groups of up to
+    ``config.batch_scenes`` and each group runs through the engine's batched
+    loop — one forward/backward per step for the whole group.  Per-scene
+    seeds, masks and early stopping are preserved, so the returned results
+    are identical at any ``batch_scenes``, in the same order.  Only the
+    preparation may skip a scene; an error raised inside an engine loop
+    always propagates.
     """
     if rng is not None:
         warnings.warn("run_attack_batch ignores the shared `rng` argument; "
                       "per-scene seeds derive from (config.seed, scene_index)",
                       DeprecationWarning, stacklevel=2)
-    batch_scenes = max(int(getattr(config, "batch_scenes", 1)), 1)
-    if batch_scenes == 1 or config.method is AttackMethod.RANDOM_NOISE:
-        results: List[AttackResult] = []
-        for scene_index, scene in enumerate(scenes, start=start_index):
-            scene_rng = np.random.default_rng([config.seed, scene_index])
-            try:
-                results.append(run_attack(model, scene, config, rng=scene_rng,
-                                          num_points=num_points))
-            except ValueError:
-                if not skip_missing_source:
-                    raise
-        return results
-
     prepared: List[Tuple[int, PreparedScene]] = []
     for scene_index, scene in enumerate(scenes, start=start_index):
         scene_rng = np.random.default_rng([config.seed, scene_index])
@@ -198,7 +169,7 @@ def run_attack_batch(model: SegmentationModel, scenes: Sequence[PointCloudScene]
         except ValueError:
             if not skip_missing_source:
                 raise
-    return _dispatch_batched(model, config, prepared, batch_scenes)
+    return _dispatch_batched(model, config, prepared)
 
 
 def run_attack_group(model: SegmentationModel,
@@ -211,30 +182,28 @@ def run_attack_group(model: SegmentationModel,
     generator seeded ``config.seed`` (the ``run_attack`` default), so this
     is a drop-in replacement for ``[run_attack(model, s, config) for s in
     scenes]`` — used by the defense and transferability cells — that
-    coalesces same-size scenes into batched engine loops when
-    ``config.batch_scenes > 1``, without changing a single number.
+    coalesces same-size scenes into batched engine loops of up to
+    ``config.batch_scenes``, without changing a single number.
     """
-    batch_scenes = max(int(getattr(config, "batch_scenes", 1)), 1)
-    if batch_scenes == 1 or config.method is AttackMethod.RANDOM_NOISE:
-        return [run_attack(model, scene, config, num_points=num_points)
-                for scene in scenes]
     prepared = [
         (position,
          _prepare_for_batch(model, scene, config,
                             np.random.default_rng(config.seed), num_points))
         for position, scene in enumerate(scenes)
     ]
-    return _dispatch_batched(model, config, prepared, batch_scenes)
+    return _dispatch_batched(model, config, prepared)
 
 
 def _dispatch_batched(model: SegmentationModel, config: AttackConfig,
-                      prepared: List[Tuple[int, PreparedScene]],
-                      batch_scenes: int) -> List[AttackResult]:
+                      prepared: List[Tuple[int, PreparedScene]]
+                      ) -> List[AttackResult]:
     """Group prepared scenes by size and run each chunk batched, in order.
 
-    Same-size scenes share one batched loop; odd sizes fall into their own
-    (possibly singleton) groups.  Results are re-emitted in scene order.
+    Same-size scenes share batched loops of up to ``config.batch_scenes``;
+    odd sizes fall into their own (possibly singleton) groups.  Results are
+    re-emitted in scene order.
     """
+    batch_scenes = config.batch_scenes
     groups: Dict[int, List[Tuple[int, PreparedScene]]] = {}
     for position, item in prepared:
         groups.setdefault(item.num_points, []).append((position, item))

@@ -18,8 +18,8 @@ adds the score-based and decision-based threat models behind the very same
   adversarial (the attacker's own ``Converge(·)`` criterion).
 
 All three engines are built as *per-scene state machines driven by stacked
-forward passes*: a serial ``run`` drives one state, ``run_batched`` drives B
-states, and every model evaluation stacks the active scenes' clouds into one
+forward passes*: ``run_batched`` drives B states (``run`` is a one-scene
+batch), and every model evaluation stacks the active scenes' clouds into one
 ``(rows, N, 3)`` forward.  Because evaluation-mode forwards are
 batch-position independent (the PR-3 invariant) and every per-scene decision
 consumes only that scene's RNG stream and loss values, serial and batched
@@ -49,7 +49,7 @@ from .convergence import ConvergenceCheck
 from .eot import build_eot
 from .evaluation import build_result
 from .norm_bounded import NormBoundedAttack
-from .perturbation import PerturbationSpec
+from .perturbation import PerturbationSpec, PreparedScene
 
 
 def _margin_loss(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray,
@@ -202,8 +202,8 @@ class _BlackBoxAttack:
         """Policy-dtype logits ``(rows, N, C)`` for a stack of clouds.
 
         No tensor requires a gradient: black-box engines are pure inference,
-        so the compiled plan (when ``plan_key`` names one) is forward-only —
-        capture on the first stack with this key, replay thereafter.
+        so a forward-only plan (when ``plan_key`` names one) is captured on
+        the first stack with this key and replayed thereafter.
         Engines pass a key only when the stacked composition is stable and
         the forward's neighbourhood indices cannot drift (color-only field,
         static defense); chunked oversize stacks always run eager because
@@ -231,7 +231,7 @@ class _BlackBoxAttack:
             else:
                 logits = self.model(Tensor(coords), Tensor(colors))
         if program is not None:
-            program.finalize({"logits": logits}, root=None)
+            program.finalize({"logits": logits})
         return np.asarray(logits.data)
 
     def _replayable(self, states: Sequence[_SceneState]) -> bool:
@@ -270,14 +270,9 @@ class _BlackBoxAttack:
             rng: Optional[np.random.Generator] = None,
             scene_name: str = "") -> AttackResult:
         """Attack a single prepared cloud (all arrays in model space)."""
-        state = _SceneState(self.config, self.check, coords, colors, labels,
-                            spec, target_labels, rng, scene_name)
-        self.model.eval()
-        with attack_compute(self.model, self.config, neighbor_refresh=1) as cache:
-            self._plans = plan_cache()
-            self._drive([state], cache)
-            self._plans = None
-        return self._finish(state)
+        return self.run_batched([PreparedScene(coords, colors, labels, spec,
+                                               target_labels, rng,
+                                               scene_name)])[0]
 
     def run_batched(self, scenes: Sequence) -> List[AttackResult]:
         """Attack several same-size prepared clouds through shared forwards."""

@@ -132,17 +132,6 @@ class AttackConfig:
     neighbor_refresh: int = 5            # R: recompute kNN graphs every R steps
     smoothness_neighbors: str = "clean"  # Eq. 9 neighbour source: "clean" | "current"
 
-    # Compiled tensor engine (repro.nn.compile).  ``graph_capture`` lets the
-    # engines record the first step's computation and replay a compiled plan
-    # on later steps — bit-for-bit identical to eager, so it is purely an
-    # execution knob (excluded from result-store salting, like
-    # ``batch_scenes``).  ``tensor_backend`` selects who executes the plans:
-    # "numpy" (the bitwise reference) or the optional "torch" backend
-    # (allclose, not bitwise — salted).  ``REPRO_BACKEND`` / ``REPRO_CAPTURE``
-    # override both externally (see ComputePolicy.from_attack_config).
-    tensor_backend: str = "numpy"        # "numpy" | "torch"
-    graph_capture: bool = True
-
     # "Both fields" update schedule (Section IV-B): the default perturbs colour
     # and coordinates concurrently; the alternating variant — which the paper
     # reports as worse because the two gradients offset each other — updates
@@ -197,8 +186,6 @@ class AttackConfig:
             raise ValueError("batch_scenes must be >= 1")
         if self.smoothness_neighbors not in ("clean", "current"):
             raise ValueError("smoothness_neighbors must be 'clean' or 'current'")
-        if self.tensor_backend not in ("numpy", "torch"):
-            raise ValueError("tensor_backend must be 'numpy' or 'torch'")
 
     @property
     def engine_name(self) -> str:

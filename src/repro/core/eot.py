@@ -107,14 +107,13 @@ def averaged_eot_loss(model, objective, coords_t: Tensor, colors_t: Tensor,
     """Mean adversarial loss over one step's defense samples, in-graph.
 
     The single implementation behind every white-box engine's EOT step
-    (bounded and unbounded, serial and batched):
+    (bounded and unbounded):
 
-    * ``restrict(sample)`` shapes the loss mask of one sample (the call
-      site adds its batch axis);
+    * ``restrict(sample)`` shapes the loss mask of one (stacked) sample;
     * ``wrap`` is the call site's pass-through view added between the
-      defended tensors and the model (``expand_dims`` serially, an identity
-      ``reshape`` in batched unbounded mode) — applied *after* the sample
-      transform, so serial and batched graphs stay isomorphic;
+      defended tensors and the model (an identity ``reshape`` in the
+      unbounded engine, which keeps the model's gradient contributions
+      summed in their own node) — applied *after* the sample transform;
     * tensor-neutral samples (keep-mask-only, e.g. SRS draws) share one
       forward: the loss is linear in the mask, so K identical forwards
       would waste (K-1)/K of the step's compute for the same gradients.

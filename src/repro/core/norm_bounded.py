@@ -16,7 +16,7 @@ import numpy as np
 
 from ..accel import attack_compute
 from ..models.base import SegmentationModel
-from ..nn import Tensor, plan_cache
+from ..nn import Tensor
 from ..telemetry import get_tracer
 from .config import AttackConfig, AttackObjective, AttackResult
 from .convergence import ConvergenceCheck
@@ -24,7 +24,7 @@ from .eot import averaged_eot_loss, build_eot, eot_refresh, stack_samples
 from .evaluation import build_result
 from .minimp import MinImpactSelector
 from .objectives import adversarial_loss
-from .perturbation import PerturbationSpec
+from .perturbation import PerturbationSpec, PreparedScene
 
 
 class NormBoundedAttack:
@@ -47,170 +47,21 @@ class NormBoundedAttack:
             rng: Optional[np.random.Generator] = None,
             scene_name: str = "") -> AttackResult:
         """Attack a single prepared cloud (all arrays in model space)."""
-        config = self.config
-        rng = rng or np.random.default_rng(config.seed)
-        coords = np.asarray(coords, dtype=np.float64)
-        colors = np.asarray(colors, dtype=np.float64)
-        labels = np.asarray(labels, dtype=np.int64)
-        mask = spec.target_mask
-        mask3 = mask[:, None]
-
-        if config.objective is AttackObjective.OBJECT_HIDING and target_labels is None:
-            raise ValueError("object hiding requires target labels")
-
-        self.model.eval()
-        clean_prediction = self.model.predict_single(coords, colors)
-
-        adv_coords = coords.copy()
-        adv_colors = colors.copy()
-        epsilon = config.epsilon
-
-        # Random initialisation inside the ε-box (PGD random start).
-        if spec.field.perturbs_color:
-            adv_colors = adv_colors + mask3 * rng.uniform(-epsilon, epsilon,
-                                                          size=colors.shape) * 0.5
-            adv_colors = np.clip(adv_colors, *spec.color_box)
-        if spec.field.perturbs_coordinate:
-            adv_coords = adv_coords + mask3 * rng.uniform(-epsilon, epsilon,
-                                                          size=coords.shape) * 0.5
-            adv_coords = np.clip(adv_coords, *spec.coord_box)
-
-        coord_selector = (MinImpactSelector(mask, config.min_impact_points,
-                                            config.min_impact_floor)
-                          if spec.field.perturbs_coordinate else None)
-
-        history: List[Dict[str, float]] = []
-        converged = False
-        iterations = 0
-        # Adaptive mode pins the neighbourhood cache to content-exact keying
-        # (as the black-box engines do): the defended forwards change the
-        # coordinates every step and slot staleness would depend on how
-        # samples are packed into forwards.
-        eot = build_eot(config)
-        refresh = eot_refresh(eot)
-        tracer = get_tracer()
-
-        with attack_compute(self.model, config, neighbor_refresh=refresh) as cache:
-            plans = plan_cache()
-            program = None
-            if (plans is not None and eot is None
-                    and not spec.field.perturbs_coordinate):
-                # Colour-only non-adaptive steps repeat one static graph
-                # (fixed coordinates, labels and mask): capture it on the
-                # first step and replay the compiled plan afterwards —
-                # bit-for-bit identical to the eager path (docs/COMPILE.md).
-                program = plans.program(
-                    ("bounded", scene_name, adv_colors.shape),
-                    lambda: {"colors": Tensor(adv_colors[None].copy(),
-                                              requires_grad=True)})
-            for step in range(1, config.bounded_steps + 1):
-                iterations = step
-                cache.advance()
-                coords_t = None
-                replayed = None
-                if program is not None:
-                    program.feed(colors=adv_colors[None])
-                    replayed = program.replay()
-                if replayed is not None:
-                    colors_t = program.tensor("colors")
-                    prediction = np.argmax(replayed["logits"][0], axis=-1)
-                    loss_value = float(replayed["loss"])
-                elif program is not None:
-                    colors_t = program.tensor("colors")
-                    colors_t.grad = None
-                    with program.capture():
-                        logits = self.model(Tensor(adv_coords[None]), colors_t)
-                        loss = self._adversarial_loss(
-                            logits, labels[None],
-                            None if target_labels is None else target_labels[None],
-                            mask[None])
-                    program.finalize({"logits": logits, "loss": loss},
-                                     root=loss)
-                    loss.backward()
-                    prediction = np.argmax(logits.data[0], axis=-1)
-                    loss_value = loss.item()
-                else:
-                    coords_t = Tensor(adv_coords[None],
-                                      requires_grad=spec.field.perturbs_coordinate)
-                    colors_t = Tensor(adv_colors[None],
-                                      requires_grad=spec.field.perturbs_color)
-                    if eot is None:
-                        logits = self.model(coords_t, colors_t)
-                        loss = self._adversarial_loss(
-                            logits, labels[None],
-                            None if target_labels is None else target_labels[None],
-                            mask[None])
-                        prediction = np.argmax(logits.data[0], axis=-1)
-                    else:
-                        # Expectation over transformation: average the loss over
-                        # this step's defense samples (drawn from the scene's
-                        # own stream); convergence keeps judging the raw cloud.
-                        loss, raw_logits = averaged_eot_loss(
-                            self.model, config.objective, coords_t, colors_t,
-                            eot.draw_all(adv_coords, adv_colors, rng),
-                            labels[None],
-                            None if target_labels is None else target_labels[None],
-                            restrict=lambda sample: sample.restrict(mask)[None])
-                        report = (raw_logits if raw_logits is not None
-                                  else self.model(Tensor(adv_coords[None]),
-                                                  Tensor(adv_colors[None])))
-                        prediction = np.argmax(report.data[0], axis=-1)
-                    loss.backward()
-                    loss_value = loss.item()
-                gain = self.check.gain(prediction, labels, target_labels, mask)
-                history.append({"step": float(step), "loss": loss_value, "gain": gain})
-                if tracer.enabled:
-                    pnorm = float(
-                        np.sum(((adv_colors - colors) * mask3) ** 2)
-                        + np.sum(((adv_coords - coords) * mask3) ** 2))
-                    tracer.emit("attack_step", engine=config.engine_name,
-                                scene=scene_name, step=step,
-                                loss=history[-1]["loss"], gain=gain,
-                                pnorm=pnorm)
-                if self.check.converged(prediction, labels, target_labels, mask):
-                    converged = True
-                    if tracer.enabled:
-                        tracer.emit("attack_converged",
-                                    engine=config.engine_name,
-                                    scene=scene_name, step=step)
-                    break
-
-                # Sign-of-gradient step on the attacked field(s), masked to T.
-                if spec.field.perturbs_color and colors_t.grad is not None:
-                    gradient = colors_t.grad[0]
-                    adv_colors = adv_colors - config.step_size * np.sign(gradient) * mask3
-                    adv_colors = self._project(adv_colors, colors, epsilon, spec.color_box)
-                if spec.field.perturbs_coordinate and coords_t.grad is not None:
-                    gradient = coords_t.grad[0]
-                    allowed = (coord_selector.allowed_mask() if coord_selector is not None
-                               else mask)
-                    adv_coords = adv_coords - config.step_size * np.sign(gradient) * allowed[:, None]
-                    adv_coords = self._project(adv_coords, coords, epsilon, spec.coord_box)
-                    if coord_selector is not None and coord_selector.active:
-                        pruned = coord_selector.prune(gradient, adv_coords - coords)
-                        if pruned.size:
-                            adv_coords[pruned] = coords[pruned]   # restore pruned points
-
-        return build_result(
-            model=self.model, config=config,
-            original_coords=coords, original_colors=colors,
-            adversarial_coords=adv_coords, adversarial_colors=adv_colors,
-            labels=labels, target_labels=target_labels, target_mask=mask,
-            iterations=iterations, converged=converged, history=history,
-            scene_name=scene_name, clean_prediction=clean_prediction,
-        )
+        return self.run_batched([PreparedScene(coords, colors, labels, spec,
+                                               target_labels, rng,
+                                               scene_name)])[0]
 
     # ------------------------------------------------------------------ #
     def run_batched(self, scenes: Sequence) -> List[AttackResult]:
         """Attack several same-size prepared clouds in one PGD loop.
 
-        ``scenes`` is a sequence of prepared-scene records (see
-        :class:`repro.core.attack.PreparedScene`).  One forward/backward
-        serves every scene per step while the random starts, target masks,
-        min-impact selectors and the ``Converge(·)`` early stop all stay
-        per-scene, so each result is bit-for-bit identical to a serial
-        ``run`` of that scene.  Converged scenes are frozen (their sign-step
-        mask drops to zero) and the loop exits once all scenes are done.
+        ``scenes`` is a sequence of :class:`PreparedScene` records.  One
+        forward/backward serves every scene per step while the random
+        starts, target masks, min-impact selectors and the ``Converge(·)``
+        early stop all stay per-scene, so each result is bit-for-bit
+        identical to a one-scene run of that scene.  Converged scenes are
+        frozen (their sign-step mask drops to zero) and the loop exits once
+        all scenes are done.
         """
         config = self.config
         batch = len(scenes)
@@ -237,8 +88,8 @@ class NormBoundedAttack:
         adv_colors = colors.copy()
         epsilon = config.epsilon
 
-        # Per-scene PGD random starts, drawn from each scene's own stream in
-        # the same field order as the serial path.
+        # Per-scene PGD random starts, drawn from each scene's own stream
+        # (colour first, then coordinates).
         for b in range(batch):
             if spec.field.perturbs_color:
                 adv_colors[b] = adv_colors[b] + mask3[b] * rngs[b].uniform(
@@ -258,70 +109,34 @@ class NormBoundedAttack:
         converged = np.zeros(batch, dtype=bool)
         active = np.ones(batch, dtype=bool)
         iterations = np.zeros(batch, dtype=np.int64)
+        # Adaptive mode pins the neighbourhood cache to content-exact keying
+        # (as the black-box engines do): the defended forwards move the
+        # coordinates every step, and slot staleness would depend on how
+        # the samples are packed into forwards.
         eot = build_eot(config)
         refresh = eot_refresh(eot)
         tracer = get_tracer()
 
         with attack_compute(self.model, config, neighbor_refresh=refresh) as cache:
-            plans = plan_cache()
-            program = None
-            if (plans is not None and eot is None
-                    and not spec.field.perturbs_coordinate):
-                # Same replay regime as the serial path; the whole batch
-                # shares one plan (the batch shape is static — frozen scenes
-                # keep riding along until every scene converges).
-                names = tuple(s.scene_name for s in scenes)
-                program = plans.program(
-                    ("bounded_batch", names, adv_colors.shape),
-                    lambda: {"colors": Tensor(adv_colors.copy(),
-                                              requires_grad=True)})
             for step in range(1, config.bounded_steps + 1):
                 if not active.any():
                     break
                 iterations[active] = step
                 cache.advance()
-                coords_t = None
-                replayed = None
-                if program is not None:
-                    program.feed(colors=adv_colors)
-                    replayed = program.replay()
-                if replayed is not None:
-                    colors_t = program.tensor("colors")
-                    predictions = np.argmax(replayed["logits"], axis=-1)  # (B, N)
-                    loss_data = replayed["loss"]
-                elif program is not None:
-                    colors_t = program.tensor("colors")
-                    colors_t.grad = None
-                    with program.capture():
-                        logits = self.model(Tensor(adv_coords), colors_t)
-                        loss = self._adversarial_loss(logits, labels,
-                                                      target_labels, mask,
-                                                      per_scene=True)
-                        total = loss.sum()
-                    program.finalize({"logits": logits, "loss": loss},
-                                     root=total)
-                    total.backward()
-                    predictions = np.argmax(logits.data, axis=-1)        # (B, N)
-                    loss_data = loss.data
-                elif eot is None:
-                    coords_t = Tensor(adv_coords,
-                                      requires_grad=spec.field.perturbs_coordinate)
-                    colors_t = Tensor(adv_colors,
-                                      requires_grad=spec.field.perturbs_color)
+                coords_t = Tensor(adv_coords,
+                                  requires_grad=spec.field.perturbs_coordinate)
+                colors_t = Tensor(adv_colors,
+                                  requires_grad=spec.field.perturbs_color)
+                if eot is None:
                     logits = self.model(coords_t, colors_t)
                     loss = self._adversarial_loss(logits, labels, target_labels,
                                                   mask, per_scene=True)
                     predictions = np.argmax(logits.data, axis=-1)        # (B, N)
-                    loss.sum().backward()
-                    loss_data = loss.data
                 else:
-                    coords_t = Tensor(adv_coords,
-                                      requires_grad=spec.field.perturbs_coordinate)
-                    colors_t = Tensor(adv_colors,
-                                      requires_grad=spec.field.perturbs_color)
-                    # Per-scene defense samples drawn from each scene's own
-                    # stream in serial order, stacked into one defended
-                    # forward per EOT sample.
+                    # Expectation over transformation: per-scene defense
+                    # samples drawn from each scene's own stream, stacked
+                    # into one defended forward per EOT sample; convergence
+                    # keeps judging the raw cloud.
                     step_samples = [eot.draw_all(adv_coords[b], adv_colors[b],
                                                  rngs[b])
                                     for b in range(batch)]
@@ -337,10 +152,9 @@ class NormBoundedAttack:
                               else self.model(Tensor(adv_coords),
                                               Tensor(adv_colors)))
                     predictions = np.argmax(report.data, axis=-1)        # (B, N)
-                    loss.sum().backward()
-                    loss_data = loss.data
+                loss.sum().backward()
 
-                loss_vals = np.asarray(loss_data, dtype=np.float64)
+                loss_vals = np.asarray(loss.data, dtype=np.float64)
                 for b in range(batch):
                     if not active[b]:
                         continue

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -88,6 +88,23 @@ class PerturbationSpec:
         raise ValueError(f"unknown field {field_name!r}")
 
 
+@dataclass
+class PreparedScene:
+    """One scene, normalised and ready for an attack engine's ``run_batched``."""
+
+    coords: np.ndarray
+    colors: np.ndarray
+    labels: np.ndarray
+    spec: PerturbationSpec
+    target_labels: Optional[np.ndarray]
+    rng: Optional[np.random.Generator]
+    scene_name: str = ""
+
+    @property
+    def num_points(self) -> int:
+        return int(np.asarray(self.coords).shape[0])
+
+
 def full_mask(num_points: int) -> np.ndarray:
     """Target mask selecting every point (performance-degradation attack)."""
     return np.ones(num_points, dtype=bool)
@@ -98,4 +115,5 @@ def class_mask(labels: np.ndarray, class_index: int) -> np.ndarray:
     return np.asarray(labels) == class_index
 
 
-__all__ = ["AttackField", "PerturbationSpec", "full_mask", "class_mask"]
+__all__ = ["AttackField", "PerturbationSpec", "PreparedScene", "full_mask",
+           "class_mask"]

@@ -7,14 +7,14 @@ The baseline is also used on Semantic3D (Table VI).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..models.base import SegmentationModel
 from .config import AttackConfig, AttackResult
 from .evaluation import build_result
-from .perturbation import PerturbationSpec
+from .perturbation import PerturbationSpec, PreparedScene
 
 
 class RandomNoiseBaseline:
@@ -73,6 +73,13 @@ class RandomNoiseBaseline:
             iterations=1, converged=False, history=[],
             scene_name=scene_name,
         )
+
+    def run_batched(self, scenes: Sequence[PreparedScene]) -> List[AttackResult]:
+        """Perturb each prepared cloud in turn: one model query per scene."""
+        return [self.run(s.coords, s.colors, s.labels, s.spec,
+                         target_labels=s.target_labels, rng=s.rng,
+                         scene_name=s.scene_name)
+                for s in scenes]
 
 
 __all__ = ["RandomNoiseBaseline"]

@@ -79,15 +79,6 @@ class ExperimentConfig:
     # runs share cached cells with serial ones.
     batch_scenes: int = 1
 
-    # Compiled tensor engine (repro.nn.compile).  ``graph_capture`` is an
-    # execution knob like ``batch_scenes`` — compiled replay is bit-for-bit
-    # identical to eager, so it is excluded from the content hashes and
-    # captured/eager runs share cached cells.  ``tensor_backend`` is not:
-    # torch execution is allclose to NumPy, never bitwise, so the resolved
-    # backend participates in the salt (see :meth:`compute_policy_salt`).
-    tensor_backend: str = "numpy"
-    graph_capture: bool = True
-
     # Misc.
     seed: int = 0
     cache_dir: str = field(default_factory=lambda: os.environ.get(
@@ -125,11 +116,11 @@ class ExperimentConfig:
         """Config fields that must not participate in result-store hashing.
 
         Consumed (duck-typed) by :func:`repro.pipeline.scheduler.config_salt`.
-        ``batch_scenes`` and ``graph_capture`` only change *how* cells
-        execute, never what they compute, so a store populated serially (or
-        eagerly) serves batched (or plan-replayed) runs and vice versa.
+        ``batch_scenes`` only changes *how* cells execute, never what they
+        compute, so a store populated serially serves batched runs and vice
+        versa.
         """
-        return ("batch_scenes", "graph_capture")
+        return ("batch_scenes",)
 
     def compute_policy_salt(self) -> Dict[str, object]:
         """The resolved :mod:`repro.accel` policy this profile's attacks use.
@@ -143,18 +134,12 @@ class ExperimentConfig:
         from ..accel import ComputePolicy
         from ..core.config import AttackConfig
 
-        base = (AttackConfig.paper_scale(tensor_backend=self.tensor_backend)
-                if self.attack_profile == "paper"
-                else AttackConfig.fast(tensor_backend=self.tensor_backend))
+        base = (AttackConfig.paper_scale() if self.attack_profile == "paper"
+                else AttackConfig.fast())
         policy = ComputePolicy.from_attack_config(base)
         return {"dtype": str(policy.dtype),
                 "neighbor_refresh": policy.neighbor_refresh,
                 "smoothness_neighbors": policy.smoothness_neighbors,
-                # The resolved plan backend (config + REPRO_BACKEND): torch
-                # results are allclose to NumPy, never bitwise, so the two
-                # backends must not share a cache namespace.  graph_capture
-                # is deliberately absent — replay is bitwise-neutral.
-                "tensor_backend": policy.tensor_backend,
                 # A REPRO_ACCEL override trumps per-cell compute overrides at
                 # runtime while cell params still hash them, so override and
                 # non-override runs must never share a cache namespace.
@@ -295,8 +280,6 @@ class ExperimentContext:
         unless the caller overrides it explicitly.
         """
         overrides.setdefault("batch_scenes", self.config.batch_scenes)
-        overrides.setdefault("tensor_backend", self.config.tensor_backend)
-        overrides.setdefault("graph_capture", self.config.graph_capture)
         overrides.setdefault("attack_mode", self.config.attack_mode)
         if self.config.query_budget is not None:
             overrides.setdefault("query_budget", self.config.query_budget)

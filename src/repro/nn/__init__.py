@@ -7,12 +7,10 @@ models and to compute input gradients for the attacks.
 
 The engine has three layers behind one Tensor API: the eager autograd path
 (:mod:`~repro.nn.tensor`, driven by the :mod:`~repro.nn.ops` registry),
-graph capture (:mod:`~repro.nn.graph`), and the plan compiler/executor with
-optional torch execution (:mod:`~repro.nn.compile`,
-:mod:`~repro.nn.backends`) — see docs/COMPILE.md.
+graph capture (:mod:`~repro.nn.graph`), and the forward-only plan
+compiler/executor (:mod:`~repro.nn.compile`) — see docs/COMPILE.md.
 """
 
-from .backends import available_backends, has_torch
 from .compile import (
     CompiledPlan,
     PlanCache,
@@ -89,8 +87,6 @@ __all__ = [
     "plan_cache",
     "use_plan_cache",
     "set_profile_sink",
-    "available_backends",
-    "has_torch",
     "Module",
     "Parameter",
     "Linear",

@@ -1,25 +1,24 @@
-"""Graph capture: record one attack step's tensor ops as a static graph.
+"""Graph capture: record one forward computation's tensor ops as a graph.
 
-The attack inner loops run the same computation every step — same model, same
-shapes, same op sequence — with only the perturbed inputs changing.  This
-module records that computation once (on the first step) as a static op
-graph: every :func:`repro.nn.tensor._apply` call while a recorder is active
-becomes a :class:`Node` carrying the op, its input nodes, parameters, shape
-and dtype.  The plan compiler (:mod:`repro.nn.compile`) then turns the graph
-into a replayable execution plan.
+The black-box engines run the same stacked inference forward many times —
+same model, same shapes, same op sequence — with only the query clouds
+changing.  This module records that computation once as a static op graph:
+every :func:`repro.nn.tensor._apply` call while a recorder is active becomes
+a :class:`Node` carrying the op, its input nodes, parameters, shape and
+dtype.  The plan compiler (:mod:`repro.nn.compile`) then turns the graph
+into a replayable forward plan.
 
 Three node kinds:
 
 ``placeholder``
-    A step input whose data changes between steps (the adversarial colour
-    tensor, the stacked black-box query clouds).  Registered explicitly by
-    the engine; replay feeds fresh arrays into these slots.
+    An input whose data changes between replays (the stacked black-box
+    query clouds).  Registered explicitly by the engine; replay feeds fresh
+    arrays into these slots.
 ``constant``
     Any other tensor entering the graph from outside: frozen model
-    parameters, masks, one-hot targets, neighbourhood index tables.  Baked
-    by reference — valid because the engines only replay plans in regimes
-    where these stay fixed (colour-field attacks, no EOT; see
-    docs/COMPILE.md).
+    parameters, neighbourhood index tables.  Baked by reference — valid
+    because the engines only replay plans in regimes where these stay fixed
+    (colour-field attacks, static defense; see docs/COMPILE.md).
 ``op``
     A recorded operation from the :mod:`repro.nn.ops` registry.
 

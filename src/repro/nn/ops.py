@@ -4,10 +4,10 @@ Every differentiable operation in :mod:`repro.nn` is declared once here as an
 :class:`OpDef`: a forward kernel, a vector-Jacobian product, and the metadata
 the compiler needs (fusion tag, view/aliasing behaviour, an optional
 ``out=``-capable forward for arena buffer reuse).  The eager path
-(:meth:`repro.nn.tensor.Tensor` methods) and the capture/replay path
+(:meth:`repro.nn.tensor.Tensor` methods) and the forward capture/replay path
 (:mod:`repro.nn.graph` / :mod:`repro.nn.compile`) both execute these exact
 kernels, which is what makes compiled-plan replay bit-for-bit identical to
-eager execution: same kernels, same order, same accumulation arithmetic.
+eager execution: same kernels, same order.
 
 Adding an op is one :func:`register` call; the Tensor method, the recorded
 graph node, the plan executor and the profiler label all follow from it.

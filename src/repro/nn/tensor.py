@@ -10,8 +10,9 @@ topological order accumulating gradients.
 
 Routing everything through one chokepoint is what makes graph capture
 (:mod:`repro.nn.graph`) possible: when a recorder is active, ``_apply``
-notifies it of every op, and the resulting plan replays the identical kernel
-sequence without rebuilding Python closures (see :mod:`repro.nn.compile`).
+notifies it of every op, and the resulting forward plan replays the
+identical kernel sequence without rebuilding tensors (see
+:mod:`repro.nn.compile`).
 
 Only the operations needed by the point-cloud segmentation models and the
 attack framework are implemented, but each supports full NumPy broadcasting
@@ -320,11 +321,6 @@ class Tensor:
         accumulation stores gradients by reference, so an array may be
         shared between tensors or be a read-only broadcast view.  Replace a
         gradient (``t.grad = ...``) instead of mutating it in place.
-
-        The compiled plan executor (:mod:`repro.nn.compile`) replicates this
-        exact traversal — same DFS, same accumulation order — so replayed
-        gradients are bit-for-bit identical to eager ones.  Keep the two in
-        sync when changing the traversal.
         """
         if not self.requires_grad:
             raise RuntimeError("called backward() on a tensor that does not require grad")
@@ -411,7 +407,7 @@ def detached_max(x: Tensor, axis: int = -1) -> Tensor:
     Used for the numerically-stabilising shift of log-softmax: the
     value is data-dependent but must not carry gradient.  Unlike wrapping the
     NumPy result in a fresh constant tensor, this records a graph node, so
-    compiled plans recompute the shift on every replayed step instead of
+    compiled plans recompute the shift on every replayed forward instead of
     baking a stale constant.
     """
     return _apply(OPS["detached_max"], (as_tensor(x),), {"axis": axis})

@@ -124,13 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "adaptive (defense-aware) attack cells, e.g. in "
                              "table_defenses (default: the experiment's own "
                              "value)")
-    parser.add_argument("--tensor-backend", default="numpy",
-                        choices=("numpy", "torch"),
-                        help="tensor execution backend for compiled attack "
-                             "plans: numpy (default, bitwise-reproducible) "
-                             "or torch (allclose, not bitwise — results are "
-                             "store-salted separately; requires the [torch] "
-                             "extra)")
     parser.add_argument("--scale", default="default",
                         choices=("default", "paper", "tiny"),
                         help="experiment scale profile")
@@ -210,8 +203,7 @@ def _build_config(args):
                    attack_mode=args.attack_mode,
                    query_budget=args.query_budget,
                    samples_per_step=args.samples_per_step,
-                   eot_samples=args.eot_samples,
-                   tensor_backend=args.tensor_backend)
+                   eot_samples=args.eot_samples)
 
 
 def _print_status(name: str, graph, config, store: Optional[ResultStore]) -> None:

@@ -49,9 +49,12 @@ from ..ioutils import atomic_write_bytes
 #: (float32 under fast-math, previously always float64), shifting fast-mode
 #: trajectories by low-order bits — cached fast-mode cells from v2 are not
 #: interchangeable.  Exactness-mode arithmetic is unchanged.
+#: v4: the ``tensor_backend`` and ``graph_capture`` knobs are gone, so the
+#: resolved compute policy no longer salts a backend and every content
+#: hash changes; payloads themselves are unchanged.
 #: (Checksums are additive sidecar metadata: entries written before they
 #: existed still load, they just skip verification — no bump needed.)
-STORE_FORMAT_VERSION = 3
+STORE_FORMAT_VERSION = 4
 
 
 def _payload_checksum(blob: bytes) -> str:

@@ -60,11 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--attack-mode", default="whitebox",
                         choices=("whitebox", "nes", "spsa", "boundary"),
                         help="threat model of every served attack cell")
-    parser.add_argument("--tensor-backend", default="numpy",
-                        choices=("numpy", "torch"),
-                        help="tensor backend of every served attack cell "
-                             "(salted: torch results are allclose, not "
-                             "bitwise, to numpy ones)")
     parser.add_argument("--query-budget", type=positive_int, default=None,
                         metavar="Q")
     parser.add_argument("--samples-per-step", type=positive_int, default=None,
@@ -91,8 +86,7 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
                  attack_mode=args.attack_mode,
                  query_budget=args.query_budget,
                  samples_per_step=args.samples_per_step,
-                 eot_samples=args.eot_samples,
-                 tensor_backend=args.tensor_backend)
+                 eot_samples=args.eot_samples)
     factory = {"default": ExperimentConfig.default,
                "paper": ExperimentConfig.paper_scale,
                "tiny": ExperimentConfig.tiny}[args.scale]

@@ -113,9 +113,8 @@ def profile_ops(tracer=None, top_k: int = 12,
     :mod:`repro.nn.compile`) never calls a Tensor method.  The profile is
     therefore also registered as the plan executor's profile sink, which
     reports replayed forward work as per-fused-segment spans (labelled by
-    the segment's op chain) and backward work per VJP, so
-    ``REPRO_PROFILE_OPS=1`` keeps covering steps 2..K after graph capture
-    kicks in.
+    the segment's op chain), so ``REPRO_PROFILE_OPS=1`` keeps covering the
+    black-box engines' replayed query forwards.
     """
     from ..nn import compile as plan_compile
     from ..nn.tensor import Tensor

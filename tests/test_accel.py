@@ -319,6 +319,28 @@ class TestNeighborhoodCache:
         np.testing.assert_array_equal(second, reference)
         del first
 
+    def test_refresh_one_alternating_inputs_do_not_thrash(self):
+        """Two inputs alternating on one slot (a black-box check forward and
+        its probe forward) stay memoised at refresh 1: A/B/A/B/A/B computes
+        twice, and every value is the one computed from its own input."""
+        cache = NeighborhoodCache(refresh_interval=1)
+        clouds = [self._cloud(seed=0), self._cloud(seed=1)]
+        computed = []
+
+        def lookup(points):
+            def compute():
+                computed.append(1)
+                return knn_indices(points, 4)
+            return cache.memo(("knn", 4), (points,), compute, slot=("t", 0))
+
+        for step in range(6):
+            cache.advance()
+            points = clouds[step % 2]
+            np.testing.assert_array_equal(lookup(points),
+                                          knn_indices(points, 4))
+        assert len(computed) == 2
+        assert cache.exact_hits == 4 and cache.misses == 2
+
     def test_stale_reuse_inside_refresh_window(self):
         cache = NeighborhoodCache(refresh_interval=3)
         points = self._cloud()

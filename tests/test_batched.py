@@ -173,6 +173,48 @@ class TestBatchedEquivalence:
             AttackConfig(batch_scenes=0)
 
 
+@pytest.mark.parametrize("batch_scenes", [1, 2])
+class TestDispatchErrors:
+    """Only preparation may skip a scene; engine errors always propagate."""
+
+    def test_engine_value_error_propagates(self, victim, scene_pool,
+                                           batch_scenes, monkeypatch):
+        import repro.core.norm_bounded as norm_bounded
+
+        calls = []
+        original = norm_bounded.adversarial_loss
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise ValueError("loss failed mid-run")
+            return original(*args, **kwargs)
+        monkeypatch.setattr(norm_bounded, "adversarial_loss", failing)
+        config = AttackConfig.fast(method="bounded", field="color",
+                                   bounded_steps=3, target_accuracy=-1.0,
+                                   batch_scenes=batch_scenes)
+        with pytest.raises(ValueError, match="mid-run"):
+            run_attack_batch(victim, scene_pool[:2], config)
+
+    def test_scene_without_source_class_is_skipped(self, victim, scene_pool,
+                                                   batch_scenes):
+        hallway = generate_room_scene(num_points=128, room_type="hallway",
+                                      rng=np.random.default_rng(3),
+                                      name="hallway")
+        assert not (hallway.labels == CLASS_INDEX["board"]).any()
+        config = AttackConfig.fast(method="bounded", field="color",
+                                   objective="hiding", bounded_steps=2,
+                                   source_class=CLASS_INDEX["board"],
+                                   target_class=CLASS_INDEX["wall"],
+                                   batch_scenes=batch_scenes)
+        scenes = [hallway, *scene_pool[:2]]
+        results = run_attack_batch(victim, scenes, config)
+        assert [r.scene_name for r in results] == ["batched_0", "batched_1"]
+        with pytest.raises(ValueError, match="source class"):
+            run_attack_batch(victim, scenes, config,
+                             skip_missing_source=False)
+
+
 class TestBatchPositionIndependence:
     """Eval-mode model forwards must not depend on a scene's batch slot."""
 

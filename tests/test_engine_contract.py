@@ -12,16 +12,13 @@ fast (float32) and exact (float64) compute policies:
   every engine on its first check;
 * **query budgets** — black-box engines never spend more model queries than
   ``query_budget``;
-* **eager vs compiled equivalence** — graph capture + plan replay
-  (``graph_capture``) must reproduce the eager results bit for bit, in both
-  compute policies, and must actually replay on the color-field cells;
-* **numpy vs torch backend** — ``tensor_backend="torch"`` tracks the numpy
-  engine within documented tolerances (allclose, never bitwise; skipped
-  when torch is not installed);
-* **store-salt behaviour** — execution knobs (``batch_scenes``,
-  ``graph_capture``) are excluded from the result-store salt, semantic
-  knobs (``attack_mode``, ``query_budget``, ``tensor_backend``) and the
-  resolved compute policy are not.
+* **eager vs compiled equivalence** — the black-box engines' forward-only
+  plan replay must reproduce the eager results bit for bit, in both compute
+  policies, and must actually replay on the color-field cells; white-box
+  steps always run eager and capture nothing;
+* **store-salt behaviour** — the execution knob ``batch_scenes`` is
+  excluded from the result-store salt, semantic knobs (``attack_mode``,
+  ``query_budget``) and the resolved compute policy are not.
 
 Adding an engine: register it behind ``_build_engine`` (an ``attack_mode``
 or ``AttackMethod``), then add one entry to ``ENGINES`` below — the whole
@@ -35,6 +32,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import repro.core.blackbox as blackbox_mod
 from repro.accel import last_attack_plan_stats
 from repro.core import AttackConfig, run_attack, run_attack_batch
 from repro.core.attack import _build_engine
@@ -45,8 +43,8 @@ from repro.datasets import generate_room_scene
 from repro.datasets.s3dis import CLASS_INDEX
 from repro.experiments.context import ExperimentConfig
 from repro.models import build_model
-from repro.nn.backends import has_torch
 from repro.pipeline.scheduler import config_salt
+from repro.pipeline.store import STORE_FORMAT_VERSION
 
 pytestmark = pytest.mark.contract
 
@@ -176,24 +174,28 @@ class TestEngineContract:
                           ENGINE_CLASSES[engine])
 
     def test_eager_vs_compiled_bitwise(self, contract_model, contract_scenes,
-                                       engine, policy):
-        """Plan replay is an *identity* transformation of the step loop.
+                                       engine, policy, monkeypatch):
+        """Plan replay is an *identity* transformation of the query loop.
 
-        The compiled executor runs the very same numpy kernels in the very
-        same order as the eager tape, so with ``graph_capture`` on or off
-        every engine must produce bit-identical results — and on these
+        The forward-only executor runs the very same numpy kernels in the
+        very same order as the eager tape, so with plans on or off every
+        black-box engine must produce bit-identical results — and on these
         color-field static-defense cells the plan must actually replay
-        (``replays > 0``), or the equality would be vacuous.
+        (``replays > 0``), or the equality would be vacuous.  White-box
+        steps always run the eager tape: they capture nothing.
         """
         config = make_config(engine, policy)
         compiled = run_attack_batch(contract_model, contract_scenes, config)
         stats = last_attack_plan_stats()
-        eager = run_attack_batch(
-            contract_model, contract_scenes,
-            dataclasses.replace(config, graph_capture=False))
+        monkeypatch.setattr(blackbox_mod, "plan_cache", lambda: None)
+        eager = run_attack_batch(contract_model, contract_scenes, config)
         assert_results_identical(eager, compiled)
-        assert stats["replays"] > 0
-        assert not last_attack_plan_stats()   # capture disabled → no plans
+        assert last_attack_plan_stats()["captures"] == 0   # plans off
+        if engine in ("bounded", "unbounded"):
+            assert stats == {"programs": 0, "captures": 0, "replays": 0,
+                             "fallbacks": 0}
+        else:
+            assert stats["replays"] > 0
 
 
 def test_noise_baseline_is_mode_agnostic(contract_model):
@@ -240,46 +242,6 @@ class TestQueryBudget:
         assert large.history[-1]["queries"] > small.history[-1]["queries"]
 
 
-#: Per-policy tolerances for the torch backend (see docs/COMPILE.md).
-#: float32: torch reorders reductions (vectorised horizontal sums) and fuses
-#: multiply-adds, so low-order bits drift immediately; after a short attack
-#: loop the accumulated drift stays within ~1e-4 relative.  float64 keeps 29
-#: extra mantissa bits of headroom and tracks far tighter.
-TORCH_TOLERANCES = {
-    "fast": dict(rtol=1e-4, atol=1e-5),
-    "exact": dict(rtol=1e-8, atol=1e-9),
-}
-
-
-@pytest.mark.skipif(not has_torch(), reason="torch backend not installed "
-                    "(pip install 'repro-pcss-attack[torch]')")
-@pytest.mark.parametrize("policy", sorted(POLICIES))
-@pytest.mark.parametrize("engine", sorted(ENGINES))
-class TestTorchBackendContract:
-    """``tensor_backend="torch"`` must track numpy within tolerances.
-
-    Torch replays are *allclose*, never bitwise — which is exactly why the
-    backend participates in the store salt (see ``TestStoreSalt``).  The
-    engines' control flow (sign steps, argmax predictions, convergence
-    checks) can amplify an allclose difference into a divergent trajectory
-    on knife-edge cells; the contract scenes are smooth enough that the
-    final payloads agree within ``TORCH_TOLERANCES`` per policy.
-    """
-
-    def test_numpy_vs_torch_allclose(self, contract_model, contract_scenes,
-                                     engine, policy):
-        config = make_config(engine, policy)
-        reference = run_attack(contract_model, contract_scenes[0], config)
-        torched = run_attack(
-            contract_model, contract_scenes[0],
-            dataclasses.replace(config, tensor_backend="torch"))
-        tol = TORCH_TOLERANCES[policy]
-        np.testing.assert_allclose(torched.adversarial_colors,
-                                   reference.adversarial_colors, **tol)
-        np.testing.assert_allclose(torched.adversarial_coords,
-                                   reference.adversarial_coords, **tol)
-
-
 class TestStoreSalt:
     """The result-store hashing contract every engine inherits."""
 
@@ -290,11 +252,14 @@ class TestStoreSalt:
         assert serial == batched
 
     def test_graph_capture_excluded(self):
-        """Plan replay is bitwise-neutral, so it must share cache entries."""
-        assert "graph_capture" in ExperimentConfig.salt_exclusions()
-        compiled = config_salt(ExperimentConfig.default(graph_capture=True))
-        eager = config_salt(ExperimentConfig.default(graph_capture=False))
-        assert compiled == eager
+        """The removed execution knobs leave no trace in the salt, and the
+        store format is bumped for the changed content hashes."""
+        salt = config_salt(ExperimentConfig.default())
+        for knob in ("graph_capture", "tensor_backend"):
+            assert knob not in salt["config"]
+            assert knob not in salt["config"]["compute_policy"]
+            assert knob not in repr(salt)
+        assert salt["store_format"] == STORE_FORMAT_VERSION == 4
 
     def test_semantic_knobs_participate(self):
         base = config_salt(ExperimentConfig.default())
@@ -302,22 +267,6 @@ class TestStoreSalt:
         assert config_salt(ExperimentConfig.default(query_budget=99)) != base
         assert config_salt(
             ExperimentConfig.default(samples_per_step=2)) != base
-
-    def test_tensor_backend_salted(self, monkeypatch):
-        """Torch payloads are allclose, not bitwise: they must not collide
-        with numpy entries, whether selected by config or by env."""
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        base = config_salt(ExperimentConfig.default())
-        torched = config_salt(
-            ExperimentConfig.default(tensor_backend="torch"))
-        assert torched != base
-        assert (torched["config"]["compute_policy"]["tensor_backend"]
-                == "torch")
-        monkeypatch.setenv("REPRO_BACKEND", "torch")
-        by_env = config_salt(ExperimentConfig.default())
-        assert by_env != base
-        assert (by_env["config"]["compute_policy"]["tensor_backend"]
-                == "torch")
 
     def test_compute_policy_separates_caches(self, monkeypatch):
         monkeypatch.delenv("REPRO_ACCEL", raising=False)

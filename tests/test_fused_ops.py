@@ -5,15 +5,13 @@ outputs and input gradients bit for bit, and kd-tree interpolation promises
 the dense distance sort's neighbours and weights bit for bit.  The composite
 chains are kept here, as the references, and every comparison is on raw
 bytes (signed zeros included): under both compute policies, eager and
-through capture/replay, with batch > 1, with row counts that are not a
-multiple of the block, with exact ties in the max, and with softmax over the
-last axis and over axis 2.
+(forward values) through capture/replay, with batch > 1, with row counts
+that are not a multiple of the block, with exact ties in the max, and with
+softmax over the last axis and over axis 2.
 
 The module also covers the neighbouring contracts of the same change: the
 max VJP computes in its input dtype, and exact unbounded cells reuse their
-best step's prediction instead of a reporting forward.  The fused ops'
-torch kernels are checked in ``tests/test_compile.py`` (skipped without
-torch).
+best step's prediction instead of a reporting forward.
 """
 
 from __future__ import annotations
@@ -70,7 +68,8 @@ def assert_same_bits(left: np.ndarray, right: np.ndarray) -> None:
 
 
 # ---------------------------------------------------------------------- #
-# Runners: eager and capture/replay, forward value + input gradient
+# Runners: eager (forward value + input gradient) and capture/replay
+# (forward value: plans are forward-only)
 # ---------------------------------------------------------------------- #
 def run_eager(fn, data: np.ndarray, upstream: np.ndarray, first=None):
     x = Tensor(data, requires_grad=True)
@@ -82,16 +81,14 @@ def run_eager(fn, data: np.ndarray, upstream: np.ndarray, first=None):
 def run_replayed(fn, data: np.ndarray, upstream: np.ndarray,
                  first: np.ndarray):
     """Capture ``fn`` on ``first``, then replay the plan on ``data``."""
-    x = Tensor(first, requires_grad=True)
+    x = Tensor(first)
     program = PlanCache().program(("fused",), lambda: {"x": x})
     with program.capture():
         out = fn(x)
-        loss = (out * Tensor(upstream)).sum()
-    program.finalize({"out": out}, root=loss)
+    program.finalize({"out": out})
     assert program.ready
     program.feed(x=data)
-    outputs = program.replay()
-    return outputs["out"], x.grad
+    return (program.replay()["out"],)
 
 
 @pytest.fixture(params=["eager", "replay"])
@@ -115,6 +112,7 @@ def check_pair(fn_fused, fn_composite, shape, runner, policy, seed=0,
         upstream = rng.normal(size=upstream_shape)
         fused = runner(fn_fused, data, upstream, first)
         composite = run_eager(fn_composite, data, upstream)
+    # zip stops after the forward value for the replay runner.
     for got, want in zip(fused, composite):
         assert_same_bits(got, want)
 
