@@ -1,5 +1,10 @@
 """Command-line entry point of the experiment pipeline.
 
+``python -m repro.pipeline`` and ``python -m repro.experiments.run`` are
+this one CLI.  The config and retry flags are defined here once
+(:func:`add_config_args`, :func:`add_retry_args`) and shared with
+``python -m repro.serve``.
+
 Examples
 --------
 Regenerate Table III on 4 worker processes, resuming from the result store::
@@ -8,8 +13,9 @@ Regenerate Table III on 4 worker processes, resuming from the result store::
 
 Re-running the same command completes almost instantly: every attack cell is
 served from the content-addressed store.  Use ``--fresh`` to force
-recomputation, ``--status`` to inspect which cells are cached, and
-``--list`` to enumerate the experiment names.
+recomputation, ``--no-store`` to bypass the store, ``--status`` to inspect
+which cells are cached, and ``--list`` (``--list --markdown``) to enumerate
+the experiment names.
 
 Distribute the run across ``repro.serve`` worker daemons (sharing one
 HTTP result store)::
@@ -51,11 +57,7 @@ def resilience_options(args) -> "tuple[Optional[RetryPolicy], Optional[FaultPlan
     """
     retry: Optional[RetryPolicy] = None
     if args.retries is not None or args.task_timeout is not None:
-        defaults = RetryPolicy()
-        retry = RetryPolicy(
-            max_attempts=(args.retries + 1 if args.retries is not None
-                          else defaults.max_attempts),
-            task_timeout=args.task_timeout)
+        retry = retry_policy(args)
     plan_text = args.fault_plan
     if plan_text is None:
         plan_text = os.environ.get("REPRO_FAULT_PLAN")
@@ -90,14 +92,44 @@ def nonnegative_int(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.pipeline", description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--experiment", default="table3",
-                        help="experiment name, or 'all' (see --list)")
-    parser.add_argument("--jobs", type=positive_int, default=1, metavar="N",
-                        help="worker processes (1 = serial, in-process)")
+def retry_policy(args) -> RetryPolicy:
+    """``--retries R`` ⇒ R + 1 attempts (without it, the default recorded
+    by :func:`add_retry_args`); ``--task-timeout`` as given."""
+    retries = args.default_retries if args.retries is None else args.retries
+    return RetryPolicy(max_attempts=retries + 1,
+                       task_timeout=args.task_timeout)
+
+
+def add_retry_args(parser: argparse.ArgumentParser,
+                   default: RetryPolicy) -> None:
+    """``--retries`` and ``--task-timeout``, read by :func:`retry_policy`;
+    without ``--retries`` a task gets ``default``'s attempts."""
+    default_retries = default.max_attempts - 1
+    parser.set_defaults(default_retries=default_retries)
+    parser.add_argument("--retries", type=nonnegative_int, default=None,
+                        metavar="R",
+                        help=f"retries per task after a transient failure "
+                             f"such as a worker crash or a timeout (default: "
+                             f"{default_retries}, i.e. {default_retries + 1} "
+                             f"attempts; 0 disables retries; deterministic "
+                             f"errors always fail fast)")
+    parser.add_argument("--task-timeout", type=float, default=None,
+                        metavar="SECONDS",
+                        help="wall-clock deadline per task attempt; a task "
+                             "past its deadline has its worker terminated "
+                             "and the attempt counts as a transient failure "
+                             "(in-process serial runs cannot be preempted; "
+                             "default: no deadline)")
+
+
+def add_config_args(parser: argparse.ArgumentParser) -> None:
+    """The flags that build the run's config, read by :func:`build_config`."""
+    parser.add_argument("--scale", default="default",
+                        choices=("default", "paper", "tiny"),
+                        help="experiment scale profile")
+    parser.add_argument("--paper-scale", dest="scale", action="store_const",
+                        const="paper", help="shorthand for --scale paper")
+    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--batch-scenes", type=positive_int, default=1,
                         metavar="B",
                         help="scenes driven per attack loop inside each cell "
@@ -124,12 +156,31 @@ def build_parser() -> argparse.ArgumentParser:
                              "adaptive (defense-aware) attack cells, e.g. in "
                              "table_defenses (default: the experiment's own "
                              "value)")
-    parser.add_argument("--scale", default="default",
-                        choices=("default", "paper", "tiny"),
-                        help="experiment scale profile")
-    parser.add_argument("--paper-scale", action="store_true",
-                        help="shorthand for --scale paper")
-    parser.add_argument("--seed", type=int, default=0)
+
+
+def build_config(args):
+    """The ``ExperimentConfig`` named by :func:`add_config_args` flags."""
+    from ..experiments.context import ExperimentConfig
+
+    factory = {"default": ExperimentConfig.default,
+               "paper": ExperimentConfig.paper_scale,
+               "tiny": ExperimentConfig.tiny}[args.scale]
+    return factory(seed=args.seed, batch_scenes=args.batch_scenes,
+                   attack_mode=args.attack_mode,
+                   query_budget=args.query_budget,
+                   samples_per_step=args.samples_per_step,
+                   eot_samples=args.eot_samples)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.pipeline", description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--experiment", default="table3",
+                        help="experiment name, or 'all' (see --list)")
+    parser.add_argument("--jobs", type=positive_int, default=1, metavar="N",
+                        help="worker processes (1 = serial, in-process)")
+    add_config_args(parser)
     parser.add_argument("--output", default=None, metavar="DIR",
                         help="directory to write formatted tables into")
     parser.add_argument("--store", default=None, metavar="DIR",
@@ -161,22 +212,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="disable the result store entirely")
     parser.add_argument("--list", action="store_true",
                         help="list experiment names and exit")
+    parser.add_argument("--markdown", action="store_true",
+                        help="with --list: print the registry as the "
+                             "markdown table embedded in docs/EXPERIMENTS.md")
     parser.add_argument("--status", action="store_true",
                         help="show cached/pending tasks per experiment "
                              "instead of running")
-    parser.add_argument("--retries", type=nonnegative_int, default=None,
-                        metavar="R",
-                        help="retries per task after a transient failure — "
-                             "worker crash, broken pool, timeout, injected "
-                             "fault (default: 1, i.e. two attempts; 0 "
-                             "disables retries; deterministic errors always "
-                             "fail fast)")
-    parser.add_argument("--task-timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="wall-clock deadline per task attempt (parallel "
-                             "runs only); a task past its deadline has its "
-                             "worker terminated and the attempt counts as a "
-                             "transient failure (default: no deadline)")
+    add_retry_args(parser, RetryPolicy())
     parser.add_argument("--fault-plan", default=None, metavar="PLAN",
                         help="deterministic fault injection for chaos "
                              "testing, e.g. 'table3/*=crash:1,*=fail:2' "
@@ -190,20 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(inspect with `python -m repro.telemetry "
                              "summarize PATH`)")
     return parser
-
-
-def _build_config(args):
-    from ..experiments.context import ExperimentConfig
-
-    scale = "paper" if args.paper_scale else args.scale
-    factory = {"default": ExperimentConfig.default,
-               "paper": ExperimentConfig.paper_scale,
-               "tiny": ExperimentConfig.tiny}[scale]
-    return factory(seed=args.seed, batch_scenes=args.batch_scenes,
-                   attack_mode=args.attack_mode,
-                   query_budget=args.query_budget,
-                   samples_per_step=args.samples_per_step,
-                   eot_samples=args.eot_samples)
 
 
 def _print_status(name: str, graph, config, store: Optional[ResultStore]) -> None:
@@ -335,11 +363,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         return SUBCOMMANDS[argv[0]](argv[1:])
     args = build_parser().parse_args(argv)
 
-    from ..experiments.plans import available_experiments, plan_experiment
+    from ..experiments.plans import (available_experiments,
+                                     experiments_markdown_table,
+                                     plan_experiment)
 
     if args.list:
-        for name in available_experiments():
-            print(name)
+        if args.markdown:
+            print(experiments_markdown_table())
+        else:
+            for name in available_experiments():
+                print(name)
         return 0
 
     names = (available_experiments() if args.experiment == "all"
@@ -353,7 +386,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("--backend remote requires --workers host:port,...")
         return 2
 
-    config = _build_config(args)
+    config = build_config(args)
     store: Optional[StoreBackend] = None
     if not args.no_store:
         store = open_store(args.store_url or args.store
@@ -413,4 +446,5 @@ def main(argv: Optional[List[str]] = None) -> int:
     return 1 if failures else 0
 
 
-__all__ = ["build_parser", "main", "resilience_options"]
+__all__ = ["add_config_args", "add_retry_args", "build_config",
+           "build_parser", "main", "resilience_options", "retry_policy"]

@@ -127,28 +127,6 @@ class ExecutorBackend:
 # ---------------------------------------------------------------------- #
 # Serial
 # ---------------------------------------------------------------------- #
-class SerialRunner:
-    """In-process execution with a lazily-built (or borrowed) context."""
-
-    def __init__(self, config: Any, context: Any = None) -> None:
-        self._config = config
-        self._context = context
-
-    @property
-    def context(self) -> Any:
-        if self._context is None:
-            from .scheduler import config_to_dict
-            from ..experiments.context import (ExperimentConfig,
-                                               ExperimentContext)
-            self._context = ExperimentContext(
-                ExperimentConfig(**config_to_dict(self._config)))
-        return self._context
-
-    def execute(self, task: Task, deps: Mapping[str, Any]) -> Any:
-        return execute_task(task.kind, task.params, deps,
-                            context=self.context)
-
-
 class SerialBackend(ExecutorBackend):
     """Execute tasks synchronously in the scheduler's own process.
 
@@ -165,8 +143,20 @@ class SerialBackend(ExecutorBackend):
 
     def __init__(self, config: Any, context: Any = None,
                  faults: Optional[FaultPlan] = None) -> None:
-        self._runner = SerialRunner(config, context)
+        self._config = config
+        self._context = context
         self._faults = faults
+
+    @property
+    def context(self) -> Any:
+        """The borrowed context, or one built lazily from the config."""
+        if self._context is None:
+            from .scheduler import config_to_dict
+            from ..experiments.context import (ExperimentConfig,
+                                               ExperimentContext)
+            self._context = ExperimentContext(
+                ExperimentConfig(**config_to_dict(self._config)))
+        return self._context
 
     def submit(self, task: Task, attempt: int, deps: Mapping[str, Any],
                timeout_s: Optional[float] = None,
@@ -178,7 +168,8 @@ class SerialBackend(ExecutorBackend):
             if self._faults is not None:
                 self._faults.inject(task.task_id, attempt, allow_exit=False)
             with collect_stats() as collector:
-                payload = self._runner.execute(task, deps)
+                payload = execute_task(task.kind, task.params, deps,
+                                       context=self.context)
         except BaseException as error:  # noqa: BLE001 — isolation by design
             future.set_result((task.task_id, False, traceback.format_exc(),
                                time.perf_counter() - start, None,
@@ -723,7 +714,6 @@ __all__ = [
     "LocalPoolBackend",
     "RemoteBackend",
     "SerialBackend",
-    "SerialRunner",
     "compute_salt_hash",
     "decode_deps",
     "encode_deps",

@@ -36,8 +36,7 @@ from concurrent.futures import FIRST_COMPLETED, wait
 from typing import Any, Dict, Mapping, Optional, Sequence, Set, Union
 
 from ..telemetry import get_tracer
-from .executors import (ExecutorBackend, SerialBackend, SerialRunner,
-                        make_backend, terminate_pool)
+from .executors import ExecutorBackend, SerialBackend, make_backend
 from .graph import Task, TaskGraph
 from .progress import (CACHED, FAILED, RAN, SKIPPED, ProgressReporter,
                        RunReport, TaskRecord)
@@ -46,11 +45,6 @@ from .resilience import (TRANSIENT, FaultPlan, RetryPolicy, TaskTimeoutError,
 from .store import STORE_FORMAT_VERSION, StoreBackend
 
 ConfigLike = Union[Mapping[str, Any], Any]
-
-# Historical aliases: earlier revisions defined these here, and the serve
-# layer (plus external scripts) imports them from this module.
-_terminate_pool = terminate_pool
-_SerialRunner = SerialRunner
 
 
 class PipelineError(RuntimeError):

@@ -3,8 +3,11 @@
 Starts a long-lived :class:`~repro.serve.server.AttackServer` on a local
 TCP port (or unix socket), prints the bound address, and serves until
 interrupted or a client sends ``shutdown``.  The configuration flags
-mirror ``python -m repro.experiments.run`` — one server serves one
-configuration, because the config salt is what keys job dedup.
+(``--scale``, ``--seed``, ``--attack-mode``, ...) and ``--retries`` /
+``--task-timeout`` are the pipeline CLI's own (:mod:`repro.pipeline.cli`):
+one server serves one configuration, because the config salt is what keys
+job dedup.  ``--retries R`` means R + 1 attempts per job, as on
+``python -m repro.pipeline``; the daemon's default is 2 retries.
 
 Examples
 --------
@@ -27,11 +30,10 @@ import asyncio
 import contextlib
 from typing import Optional
 
-from ..experiments.context import ExperimentConfig
-from ..pipeline.cli import positive_int
-from ..pipeline.resilience import RetryPolicy
+from ..pipeline.cli import (add_config_args, add_retry_args, build_config,
+                            positive_int, retry_policy)
 from .protocol import parse_address
-from .server import AttackServer
+from .server import DEFAULT_RETRY, AttackServer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,49 +50,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--address", default="127.0.0.1:0", metavar="ADDR",
                         help="host:port to listen on (port 0 = ephemeral), "
                              "or a unix-socket path")
-    parser.add_argument("--scale", default="default",
-                        choices=("default", "paper", "tiny"),
-                        help="experiment scale served by this daemon")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--batch-scenes", type=positive_int, default=1,
-                        metavar="B",
-                        help="scenes per attack loop inside each cell "
-                             "(not salted: results are identical at any "
-                             "value)")
-    parser.add_argument("--attack-mode", default="whitebox",
-                        choices=("whitebox", "nes", "spsa", "boundary"),
-                        help="threat model of every served attack cell")
-    parser.add_argument("--query-budget", type=positive_int, default=None,
-                        metavar="Q")
-    parser.add_argument("--samples-per-step", type=positive_int, default=None,
-                        metavar="S")
-    parser.add_argument("--eot-samples", type=positive_int, default=None,
-                        metavar="K")
-    parser.add_argument("--retries", type=positive_int, default=3,
-                        metavar="R",
-                        help="attempts per job before it fails (transient "
-                             "errors only)")
-    parser.add_argument("--task-timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="wall-clock deadline per job attempt; on "
-                             "expiry the worker is terminated and the pool "
-                             "rebuilt")
+    add_config_args(parser)
+    add_retry_args(parser, DEFAULT_RETRY)
     parser.add_argument("--trace", default=None, metavar="PATH",
                         help="JSONL telemetry trace written by the workers")
     return parser
-
-
-def build_config(args: argparse.Namespace) -> ExperimentConfig:
-    """The one configuration this server instance serves."""
-    knobs = dict(seed=args.seed, batch_scenes=args.batch_scenes,
-                 attack_mode=args.attack_mode,
-                 query_budget=args.query_budget,
-                 samples_per_step=args.samples_per_step,
-                 eot_samples=args.eot_samples)
-    factory = {"default": ExperimentConfig.default,
-               "paper": ExperimentConfig.paper_scale,
-               "tiny": ExperimentConfig.tiny}[args.scale]
-    return factory(**knobs)
 
 
 async def _serve(server: AttackServer) -> None:
@@ -112,10 +76,9 @@ async def _serve(server: AttackServer) -> None:
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
     host, port, unix_path = parse_address(args.address)
-    retry = RetryPolicy(max_attempts=args.retries,
-                        task_timeout=args.task_timeout)
     server = AttackServer(build_config(args), jobs=args.jobs,
-                          store=args.store, retry=retry,
+                          store=args.store,
+                          retry=retry_policy(args),
                           host=host or "127.0.0.1", port=port or 0,
                           unix_path=unix_path, trace_path=args.trace)
     with contextlib.suppress(KeyboardInterrupt):

@@ -16,13 +16,16 @@ every invocation and a service pays for once:
   (:meth:`~repro.pipeline.store.ResultStore.contains`), so N clients
   asking for the same cell cost one attack.
 
-Failures reuse the resilience layer: transient errors (a crashed worker, a
-broken pool, a wall-clock timeout) retry under a
+Every call into the pool — a job attempt or a ``task`` op — goes through
+one coroutine, :meth:`AttackServer._attempt`, which turns a timeout, a
+broken pool or a rebuild casualty into a classified failure and rebuilds
+the pool when needed.  Jobs retry transient failures under a
 :class:`~repro.pipeline.resilience.RetryPolicy` with deterministic
-backoff, the pool is rebuilt when broken, and the client only ever sees
-``queued → running → done|failed``.  Progress streams ride the telemetry
-bridge (:mod:`repro.serve.events`): every engine ``attack_step`` lands in
-the subscribing clients' ``watch`` streams in emission order.
+backoff, and the client only ever sees ``queued → running →
+done|failed``.  A malformed request gets an ``ok: false`` answer naming
+what is wrong, never a dropped connection.  Progress streams ride the
+telemetry bridge (:mod:`repro.serve.events`): every engine ``attack_step``
+lands in the subscribing clients' ``watch`` streams in emission order.
 
 The architecture follows the stateful-server-over-expensive-backend shape
 of production database engines (a compiler/result cache fronting a pool of
@@ -34,18 +37,19 @@ from __future__ import annotations
 
 import asyncio
 import base64
-import multiprocessing
+import contextlib
+import logging
 import os
-import sys
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
-from ..pipeline.executors import compute_salt_hash, decode_deps
+from ..pipeline.executors import (compute_salt_hash, decode_deps,
+                                  pool_mp_context, terminate_pool)
 from ..pipeline.resilience import (TRANSIENT, RetryPolicy, TaskTimeoutError,
                                    classify_error, error_type_names)
-from ..pipeline.scheduler import _terminate_pool, config_to_dict
+from ..pipeline.scheduler import config_to_dict
 from ..pipeline.store import canonical_payload_bytes, open_store
 from ..pipeline.worker import run_task
 from ..telemetry import get_tracer
@@ -59,6 +63,31 @@ TERMINAL_EVENTS = frozenset({"job_done", "job_failed", "job_cancelled"})
 
 #: Default server-side wait bound of a blocking ``result`` request.
 DEFAULT_RESULT_TIMEOUT = 3600.0
+
+#: Retry policy of a daemon given none: three attempts per job, no deadline.
+DEFAULT_RETRY = RetryPolicy(max_attempts=3)
+
+
+def _positive(message: Dict[str, Any], name: str,
+              kind: Any = (int, float)) -> Any:
+    """Optional positive number ``message[name]``; a bad one is refused
+    with a :class:`~repro.serve.jobs.JobError` that names the field."""
+    value = message.get(name)
+    if value is not None and (isinstance(value, bool)
+                              or not isinstance(value, kind)
+                              or not value > 0):
+        noun = "integer" if kind is int else "number"
+        raise JobError(f"{name!r} must be a positive {noun}, got {value!r}")
+    return value
+
+
+async def _discard_frame(reader: asyncio.StreamReader) -> None:
+    """Read past an oversized frame: closing a socket on unread input
+    resets the connection, which can destroy the error answer."""
+    while True:
+        chunk = await reader.read(1 << 16)
+        if not chunk or b"\n" in chunk:
+            return
 
 
 class AttackServer:
@@ -106,7 +135,7 @@ class AttackServer:
         # RemoteStore, so a whole fleet of daemons can share one
         # content-addressed memoisation layer (see docs/SERVING.md).
         self.store = open_store(store)
-        self.retry = retry if retry is not None else RetryPolicy(max_attempts=3)
+        self.retry = retry if retry is not None else DEFAULT_RETRY
         self._host = host
         self._port = port
         self._unix_path = unix_path
@@ -157,16 +186,12 @@ class AttackServer:
             self._salt_hash = compute_salt_hash(self.config)
         return self._salt_hash
 
-    def _mp_context(self):
-        # Mirror the scheduler: fork on Linux (workers inherit registered
-        # executors and imports), spawn elsewhere.
-        methods = multiprocessing.get_all_start_methods()
-        use_fork = sys.platform.startswith("linux") and "fork" in methods
-        return multiprocessing.get_context("fork" if use_fork else "spawn")
-
     def _make_pool(self) -> ProcessPoolExecutor:
+        # ``initialize_serve_worker`` resolves in this module's namespace
+        # each time a pool is built, so a wrapper installed on it (the
+        # traced benchmark's worker-start span) reaches rebuilt pools too.
         return ProcessPoolExecutor(
-            max_workers=self.jobs, mp_context=self._mp_context(),
+            max_workers=self.jobs, mp_context=pool_mp_context(),
             initializer=initialize_serve_worker,
             initargs=(config_to_dict(self.config), self._trace_path,
                       self._events))
@@ -177,7 +202,7 @@ class AttackServer:
         self._semaphore = asyncio.Semaphore(self.jobs)
         self._pool_lock = asyncio.Lock()
         self._stopped = asyncio.Event()
-        self._events = self._mp_context().Queue()
+        self._events = pool_mp_context().Queue()
         self._pool = self._make_pool()
         self._pump_thread = threading.Thread(
             target=self._pump, name="serve-event-pump", daemon=True)
@@ -286,22 +311,6 @@ class AttackServer:
         if barrier is not None:
             barrier.set()
 
-    async def _await_barrier(self, key: str, attempt: int) -> None:
-        """Wait until the worker's event stream for this attempt drained.
-
-        ``Queue.put`` in the worker is asynchronous, so the result future
-        can beat the task's own progress events across the pipe; the
-        barrier sent *after* the task rides the same FIFO and closes that
-        race.  Bounded wait: a worker that died mid-pipe sends no barrier.
-        """
-        barrier = self._barriers.get((key, attempt))
-        if barrier is None:
-            return
-        try:
-            await asyncio.wait_for(barrier.wait(), timeout=5.0)
-        except asyncio.TimeoutError:
-            pass
-
     def _publish(self, job: Job, event_type: str, **fields: Any) -> None:
         """Server-side lifecycle event into the job's stream (+ tracer)."""
         event = {"type": event_type, "ts": time.time(), "job_id": job.job_id}
@@ -327,12 +336,77 @@ class AttackServer:
                 return
             self._pool_generation += 1
             self.counters["pool_rebuilds"] += 1
-            _terminate_pool(self._pool)
+            terminate_pool(self._pool)
             self._pool = self._make_pool()
             tracer = get_tracer()
             if tracer.enabled:
                 tracer.emit("pool_rebuild", action="rebuild", reason=reason,
                             count=self.counters["pool_rebuilds"])
+
+    async def _attempt(self, what: str, attempt: int, timeout: Optional[float],
+                       call: Any, *args: Any, barrier: Optional[str] = None
+                       ) -> Tuple[bool, Any, float, Optional[Dict[str, Any]],
+                                  Optional[List[str]]]:
+        """Run one worker call on the pool under ``timeout``.
+
+        Returns ``(ok, payload_or_error, elapsed, stats, error_types)``:
+        the worker's result, or a classified failure.  A timeout rebuilds
+        the pool (killing the hung worker), a future cancelled by a
+        sibling's rebuild is transient, and a broken pool is rebuilt once
+        per pool generation.
+
+        ``barrier`` (a job key) makes a finished call wait for the
+        worker's end-of-task barrier: ``Queue.put`` in the worker is
+        asynchronous, so the result can overtake the task's own progress
+        events, and the barrier rides the same FIFO behind them.  The wait
+        is bounded, because a worker that died mid-pipe sends none.
+        """
+        generation = self._pool_generation
+        started = time.perf_counter()
+        if barrier is not None:
+            drained = self._barriers[(barrier, attempt)] = asyncio.Event()
+        try:
+            future = self._pool.submit(call, *args)
+            result = await asyncio.wait_for(asyncio.wrap_future(future),
+                                            timeout=timeout)
+            if barrier is not None:
+                with contextlib.suppress(asyncio.TimeoutError):
+                    await asyncio.wait_for(drained.wait(), timeout=5.0)
+            return result[1:]
+        except asyncio.TimeoutError:
+            self.counters["timeouts"] += 1
+            message = (f"{what} timed out after {timeout:.1f}s (attempt "
+                       f"{attempt}); its worker was terminated")
+            await self._rebuild_pool(generation, "timeout")
+            error_types = error_type_names(TaskTimeoutError(message))
+        except asyncio.CancelledError:
+            if self._stopping:
+                raise
+            message = "worker pool was rebuilt under this attempt"
+            error_types = ["TransientTaskError"]
+        except (KeyboardInterrupt, SystemExit):
+            raise
+        except BaseException as error:  # noqa: BLE001 — pool broke
+            error_types = error_type_names(error)
+            if "BrokenProcessPool" in error_types or \
+                    "BrokenExecutor" in error_types:
+                await self._rebuild_pool(generation, "worker pool broke")
+            message = repr(error)
+        finally:
+            if barrier is not None:
+                self._barriers.pop((barrier, attempt), None)
+        return False, message, time.perf_counter() - started, None, error_types
+
+    async def _store_result(self, key: str, task_id: str, kind: str,
+                            params: Dict[str, Any], payload: Any,
+                            elapsed: float,
+                            stats: Optional[Dict[str, Any]]) -> None:
+        """Write one computed result to the store, off the event loop."""
+        metadata = {"task_id": task_id, "kind": kind, "params": dict(params),
+                    "elapsed": elapsed, "served_by": "repro.serve"}
+        if stats:
+            metadata["stats"] = stats
+        await asyncio.to_thread(self.store.put, key, payload, metadata)
 
     async def _run_job(self, job: Job) -> None:
         try:
@@ -341,67 +415,34 @@ class AttackServer:
             self._job_tasks.pop(job.key, None)
 
     async def _execute_job(self, job: Job) -> None:
+        """The job's retry loop: attempts until success, a permanent
+        failure, or an exhausted :class:`RetryPolicy` budget."""
         async with self._semaphore:
             if job.cancel_requested:
-                job.state = CANCELLED
-                job.finished_at = time.time()
-                self.counters["cancelled"] += 1
-                self._publish(job, "job_cancelled")
-                job.done_event.set()
+                self._finish(job, CANCELLED, "job_cancelled")
                 return
             job.state = RUNNING
             self.counters["computed"] += 1
             self._publish(job, "job_started")
-            timeout = self.retry.task_timeout
+            spec = job.spec
             while True:
                 job.attempts += 1
-                generation = self._pool_generation
-                started = time.perf_counter()
-                self._barriers[(job.key, job.attempts)] = asyncio.Event()
-                try:
-                    future = self._pool.submit(
-                        serve_run_task, job.key, job.spec.label,
-                        job.spec.kind, dict(job.spec.params), job.attempts)
-                    (_, ok, payload_or_error, elapsed, stats,
-                     error_types) = await asyncio.wait_for(
-                         asyncio.wrap_future(future), timeout=timeout)
-                    # The worker ran to completion: let its event stream
-                    # drain before any terminal event is published.
-                    await self._await_barrier(job.key, job.attempts)
-                except asyncio.TimeoutError:
-                    self.counters["timeouts"] += 1
-                    message = (f"job {job.spec.label!r} timed out after "
-                               f"{timeout:.1f}s (attempt {job.attempts}/"
-                               f"{self.retry.max_attempts}); its worker "
-                               f"was terminated")
-                    await self._rebuild_pool(generation, "timeout")
-                    ok, payload_or_error = False, message
-                    elapsed, stats = time.perf_counter() - started, None
-                    error_types = error_type_names(TaskTimeoutError(message))
-                except asyncio.CancelledError:
-                    if self._stopping:
-                        raise
-                    # The pool was torn down under this future (a sibling's
-                    # timeout or crash cancelled its queued siblings):
-                    # innocent casualty, retry on the fresh pool.
-                    ok, payload_or_error = False, "worker pool was rebuilt"
-                    elapsed, stats = time.perf_counter() - started, None
-                    error_types = ["TransientTaskError"]
-                except (KeyboardInterrupt, SystemExit):
-                    raise
-                except BaseException as error:  # noqa: BLE001 — pool broke
-                    error_types = error_type_names(error)
-                    if "BrokenProcessPool" in error_types or \
-                            "BrokenExecutor" in error_types:
-                        await self._rebuild_pool(generation,
-                                                 "worker pool broke")
-                    ok, payload_or_error = False, repr(error)
-                    elapsed, stats = time.perf_counter() - started, None
-                finally:
-                    self._barriers.pop((job.key, job.attempts), None)
-
+                ok, payload_or_error, elapsed, stats, error_types = \
+                    await self._attempt(
+                        f"job {spec.label!r}", job.attempts,
+                        self.retry.task_timeout, serve_run_task, job.key,
+                        spec.label, spec.kind, dict(spec.params),
+                        job.attempts, barrier=job.key)
                 if ok:
-                    self._complete_job(job, payload_or_error, elapsed, stats)
+                    if spec.cacheable:
+                        await self._store_result(
+                            job.key, spec.label, spec.kind, spec.params,
+                            payload_or_error, elapsed, stats)
+                    else:
+                        job.payload = payload_or_error
+                    job.elapsed = elapsed
+                    self._finish(job, DONE, "job_done", elapsed=elapsed,
+                                 attempts=job.attempts)
                     return
                 if classify_error(error_types) == TRANSIENT and \
                         self.retry.retryable(job.attempts):
@@ -414,32 +455,19 @@ class AttackServer:
                                   delay_s=delay)
                     await asyncio.sleep(delay)
                     continue
-                job.state = FAILED
                 job.error = str(payload_or_error)
                 job.elapsed = elapsed
-                job.finished_at = time.time()
-                self.counters["failed"] += 1
-                self._publish(job, "job_failed", error=job.error,
-                              attempts=job.attempts)
-                job.done_event.set()
+                self._finish(job, FAILED, "job_failed", error=job.error,
+                             attempts=job.attempts)
                 return
 
-    def _complete_job(self, job: Job, payload: Any, elapsed: float,
-                      stats: Optional[Dict[str, Any]]) -> None:
-        if job.spec.cacheable:
-            metadata = {"task_id": job.spec.label, "kind": job.spec.kind,
-                        "params": dict(job.spec.params), "elapsed": elapsed,
-                        "served_by": "repro.serve"}
-            if stats:
-                metadata["stats"] = stats
-            self.store.put(job.key, payload, metadata=metadata)
-        else:
-            job.payload = payload
-        job.state = DONE
-        job.elapsed = elapsed
+    def _finish(self, job: Job, state: str, event_type: str,
+                **fields: Any) -> None:
+        """Enter a terminal state, publish its event, wake the waiters."""
+        job.state = state
         job.finished_at = time.time()
-        self.counters["done"] += 1
-        self._publish(job, "job_done", elapsed=elapsed, attempts=job.attempts)
+        self.counters[state] += 1
+        self._publish(job, event_type, **fields)
         job.done_event.set()
 
     # ------------------------------------------------------------------ #
@@ -479,13 +507,9 @@ class AttackServer:
         if spec.cacheable and self.store.contains(key, count=False):
             # Completed dedup: somebody (this server, an earlier run, the
             # batch pipeline) already stored this exact computation.
-            job.state = DONE
             job.cached = True
-            job.finished_at = time.time()
             self.counters["dedup_store"] += 1
-            self.counters["done"] += 1
-            self._publish(job, "job_done", cached=True)
-            job.done_event.set()
+            self._finish(job, DONE, "job_done", cached=True)
             return protocol.ok_response(job_id=job.job_id, state=job.state,
                                         deduped=False, cached=True)
 
@@ -566,7 +590,10 @@ class AttackServer:
         task_id = str(message.get("task_id", ""))
         kind = str(message.get("kind", ""))
         params = message.get("params") or {}
-        attempt = int(message.get("attempt", 1))
+        if not isinstance(params, dict):
+            raise JobError(f"'params' must be a JSON object, got {params!r}")
+        attempt = _positive(message, "attempt", int) or 1
+        timeout = _positive(message, "timeout") or self.retry.task_timeout
         key = message.get("key")
         cacheable = bool(message.get("cacheable", True))
         self.counters["tasks"] += 1
@@ -586,56 +613,27 @@ class AttackServer:
             return protocol.error_response(
                 f"undecodable deps blob: {error!r}",
                 error_types=["TaskPayloadError"])
-        timeout = message.get("timeout") or self.retry.task_timeout
         async with self._semaphore:
-            generation = self._pool_generation
-            started = time.perf_counter()
-            try:
-                future = self._pool.submit(run_task, task_id, kind,
-                                           dict(params), deps, attempt)
-                (_, ok, payload_or_error, elapsed, stats,
-                 error_types) = await asyncio.wait_for(
-                     asyncio.wrap_future(future), timeout=timeout)
-            except asyncio.TimeoutError:
-                self.counters["timeouts"] += 1
-                text = (f"task {task_id!r} timed out after {timeout:.1f}s "
-                        f"on this worker; its process was terminated")
-                await self._rebuild_pool(generation, "timeout")
-                return protocol.error_response(
-                    text, elapsed=time.perf_counter() - started,
-                    error_types=error_type_names(TaskTimeoutError(text)))
-            except asyncio.CancelledError:
-                if self._stopping:
-                    raise
-                return protocol.error_response(
-                    "worker pool was rebuilt under this task",
-                    elapsed=time.perf_counter() - started,
-                    error_types=["TransientTaskError"])
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except BaseException as error:  # noqa: BLE001 — pool broke
-                names = error_type_names(error)
-                if "BrokenProcessPool" in names or "BrokenExecutor" in names:
-                    await self._rebuild_pool(generation, "worker pool broke")
-                return protocol.error_response(
-                    repr(error), elapsed=time.perf_counter() - started,
-                    error_types=names)
+            ok, payload_or_error, elapsed, stats, error_types = \
+                await self._attempt(f"task {task_id!r}", attempt, timeout,
+                                    run_task, task_id, kind, dict(params),
+                                    deps, attempt)
         if not ok:
             return protocol.error_response(str(payload_or_error),
                                            elapsed=elapsed,
                                            error_types=error_types)
-        blob = canonical_payload_bytes(payload_or_error)
         if key and cacheable:
-            metadata = {"task_id": task_id, "kind": kind,
-                        "params": dict(params), "elapsed": elapsed,
-                        "served_by": "repro.serve"}
-            if stats:
-                metadata["stats"] = stats
-            await asyncio.to_thread(self.store.put_bytes, key, blob,
-                                    metadata)
+            await self._store_result(key, task_id, kind, params,
+                                     payload_or_error, elapsed, stats)
+        blob = canonical_payload_bytes(payload_or_error)
         return protocol.ok_response(
             hit=False, blob=base64.b64encode(blob).decode("ascii"),
             elapsed=elapsed, stats=stats)
+
+    def _identity(self) -> Dict[str, Any]:
+        uptime = time.time() - self.started_at if self.started_at else 0.0
+        return {"server": "repro.serve", "version": protocol.PROTOCOL_VERSION,
+                "pid": os.getpid(), "uptime_s": uptime}
 
     def _stats(self) -> Dict[str, Any]:
         states: Dict[str, int] = {}
@@ -644,11 +642,7 @@ class AttackServer:
         store_stats = dict(self.store.session_stats())
         store_stats["root"] = self.store.root
         return protocol.ok_response(
-            server="repro.serve", version=protocol.PROTOCOL_VERSION,
-            pid=os.getpid(),
-            uptime_s=(time.time() - self.started_at
-                      if self.started_at else 0.0),
-            jobs=dict(self.counters), states=states,
+            **self._identity(), jobs=dict(self.counters), states=states,
             pool={"workers": self.jobs,
                   "generation": self._pool_generation,
                   "rebuilds": self.counters["pool_rebuilds"],
@@ -665,7 +659,16 @@ class AttackServer:
         if connection is not None:
             self._connections.add(connection)
         try:
-            line = await reader.readline()
+            try:
+                line = await reader.readuntil(b"\n")
+            except asyncio.IncompleteReadError as error:
+                line = error.partial            # EOF ends the frame too
+            except asyncio.LimitOverrunError:
+                await _discard_frame(reader)
+                writer.write(protocol.encode(protocol.error_response(
+                    f"request frame exceeds {protocol.MAX_LINE_BYTES} "
+                    f"bytes")))
+                return
             if not line.strip():
                 return
             try:
@@ -675,7 +678,7 @@ class AttackServer:
                     protocol.error_response(str(error))))
                 return
             await self._dispatch(message, writer)
-        except (ConnectionResetError, BrokenPipeError, asyncio.LimitOverrunError):
+        except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
             if connection is not None:
@@ -692,11 +695,7 @@ class AttackServer:
         op = message.get("op")
         try:
             if op == "ping":
-                response = protocol.ok_response(
-                    server="repro.serve", version=protocol.PROTOCOL_VERSION,
-                    pid=os.getpid(),
-                    uptime_s=(time.time() - self.started_at
-                              if self.started_at else 0.0))
+                response = protocol.ok_response(**self._identity())
             elif op == "submit":
                 response = self._submit(message.get("job") or {})
             elif op == "status":
@@ -706,7 +705,7 @@ class AttackServer:
                 response = await self._result(
                     self._get_job(message),
                     wait=bool(message.get("wait", True)),
-                    timeout=message.get("timeout"))
+                    timeout=_positive(message, "timeout"))
             elif op == "cancel":
                 response = self._cancel(self._get_job(message))
             elif op == "task":
@@ -726,6 +725,15 @@ class AttackServer:
                     f"{protocol.OPERATIONS}")
         except JobError as error:
             response = protocol.error_response(str(error))
+        except (ConnectionResetError, BrokenPipeError):
+            raise                   # the peer is gone: nobody to answer
+        except Exception as error:  # noqa: BLE001 — answer, never hang up
+            logging.getLogger(__name__).exception("%r request failed", op)
+            # error_types keep the retry classification: an unreachable
+            # shared store (StoreUnavailableError) stays transient.
+            response = protocol.error_response(
+                f"{op!r} request failed: {error!r}",
+                error_types=error_type_names(error))
         writer.write(protocol.encode(response))
 
     async def _watch(self, job: Job, writer: asyncio.StreamWriter) -> None:
@@ -825,5 +833,5 @@ class ServerThread:
         self.stop()
 
 
-__all__ = ["AttackServer", "DEFAULT_RESULT_TIMEOUT", "ServerThread",
-           "TERMINAL_EVENTS"]
+__all__ = ["AttackServer", "DEFAULT_RESULT_TIMEOUT", "DEFAULT_RETRY",
+           "ServerThread", "TERMINAL_EVENTS"]

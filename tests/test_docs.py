@@ -3,9 +3,9 @@
 Three classes of drift are caught here:
 
 * the generated experiment table in ``docs/EXPERIMENTS.md`` vs. the
-  registry in :mod:`repro.experiments.run` (the exact drift ISSUE 8
-  started from — ``table_blackbox``/``table_defenses`` existed in the
-  registry but not in the README table);
+  registry in :mod:`repro.experiments.plans` (``table_blackbox`` and
+  ``table_defenses`` once existed in the registry but not in the README
+  table);
 * package ``__init__`` docstrings going thin or referencing names that
   no longer exist;
 * relative links and anchors in the markdown tree going stale
@@ -22,12 +22,12 @@ import sys
 import pytest
 
 import repro
-from repro.experiments.run import (
+from repro.experiments.plans import (
     EXPERIMENTS,
+    available_experiments,
     experiment_summaries,
     experiments_markdown_table,
 )
-from repro.experiments.plans import available_experiments
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "tools"))
@@ -67,14 +67,24 @@ class TestExperimentTable:
         for name in EXPERIMENTS:
             assert f"`{name}`" in table
 
-    def test_list_output_is_sorted_registry(self):
+    def _run_cli(self, *argv):
         proc = subprocess.run(
-            [sys.executable, "-m", "repro.experiments.run", "--list"],
+            [sys.executable, "-m", "repro.experiments.run", *argv],
             capture_output=True, text=True,
             env={**os.environ,
                  "PYTHONPATH": os.path.join(REPO_ROOT, "src")},
         )
         assert proc.returncode == 0, proc.stderr
+        return proc
+
+    def test_list_markdown_prints_the_embedded_table(self):
+        proc = self._run_cli("--list", "--markdown")
+        page = _read("docs/EXPERIMENTS.md")
+        embedded = page.split(TABLE_BEGIN, 1)[1].split(TABLE_END, 1)[0]
+        assert proc.stdout.strip() == embedded.strip()
+
+    def test_list_output_is_sorted_registry(self):
+        proc = self._run_cli("--list")
         listed = [line.split()[0] for line in proc.stdout.splitlines()
                   if line.strip() and not line.startswith(" ")]
         names = [name for name in listed if name in EXPERIMENTS]

@@ -19,7 +19,8 @@ from repro.experiments import (
     run_table6,
     run_table8,
 )
-from repro.experiments.run import EXPERIMENTS, build_parser
+from repro.experiments.plans import EXPERIMENTS
+from repro.pipeline.cli import build_parser
 
 
 @pytest.fixture(scope="module")
@@ -185,22 +186,31 @@ class TestCLI:
                      "extension_alternating"):
             assert name in EXPERIMENTS
 
-    def test_run_experiment_writes_output_file(self, tiny_context, tmp_path,
-                                               monkeypatch, capsys):
-        from repro.experiments import run as run_module
+    def test_run_experiment_writes_output_file(self, tmp_path, monkeypatch,
+                                               capsys):
+        """``python -m repro.experiments.run --output DIR`` prints each
+        table and writes it to ``DIR/<name>.txt``."""
+        from repro.experiments import plans
+        from repro.experiments.run import main
 
         fake = TableResult("fake", "Fake table", rows=[{"value": 1.0}])
-        monkeypatch.setitem(run_module.EXPERIMENTS, "fake", lambda ctx: fake)
-        result = run_module.run_experiment("fake", tiny_context, str(tmp_path))
-        assert result is fake
-        assert (tmp_path / "fake.txt").exists()
+        monkeypatch.setitem(plans.EXPERIMENTS, "fake", lambda ctx: fake)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        out = tmp_path / "out"
+        assert main(["--experiment", "fake", "--scale", "tiny", "--no-store",
+                     "--quiet", "--output", str(out)]) == 0
+        assert (out / "fake.txt").read_text(encoding="utf-8") == \
+            fake.formatted() + "\n"
         assert "Fake table" in capsys.readouterr().out
 
     def test_parser_defaults(self):
         args = build_parser().parse_args([])
         assert args.experiment == "table3"
-        assert not args.paper_scale
+        assert args.scale == "default"
+        assert build_parser().parse_args(["--paper-scale"]).scale == "paper"
 
-    def test_parser_rejects_unknown_experiment(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["--experiment", "table42"])
+    def test_parser_rejects_unknown_experiment(self, capsys):
+        from repro.experiments.run import main
+
+        assert main(["--experiment", "table42"]) == 2
+        assert "unknown experiment(s): table42" in capsys.readouterr().out

@@ -7,6 +7,10 @@ experiment, and store-backed resume — plus the order-independent per-scene
 seeding of ``run_attack_batch`` that makes cells safe to parallelise.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -306,7 +310,7 @@ class TestExecutorRegistry:
 class TestPlans:
     def test_every_experiment_has_a_plan(self):
         config = ExperimentConfig.tiny()
-        from repro.experiments.run import EXPERIMENTS
+        from repro.experiments.plans import EXPERIMENTS
         assert set(EXPERIMENTS) <= set(available_experiments())
         for name in available_experiments():
             graph = plan_experiment(name, config)
@@ -444,7 +448,8 @@ class TestEndToEnd:
         assert "table3" in names and "figures" in names
 
     def test_run_module_list_and_jobs_flags(self, capsys):
-        from repro.experiments.run import build_parser, main
+        from repro.experiments.run import main
+        from repro.pipeline.cli import build_parser
 
         args = build_parser().parse_args([])
         assert args.jobs == 1 and not args.list
@@ -452,20 +457,24 @@ class TestEndToEnd:
         assert "table3" in capsys.readouterr().out.split()
 
     def test_jobs_delegates_to_pipeline_cli(self, monkeypatch):
+        """``python -m repro.experiments.run`` is the pipeline CLI itself:
+        no second parser re-forwards its flags."""
         from repro.experiments import run as run_module
         from repro.pipeline import cli as pipeline_cli
 
+        assert run_module.main is pipeline_cli.main
         captured = {}
 
-        def fake_main(argv):
-            captured["argv"] = argv
-            return 0
+        def fake_run_graph(graph, config, **kwargs):
+            captured.update(kwargs)
+            raise RuntimeError("stop before running")
 
-        monkeypatch.setattr(pipeline_cli, "main", fake_main)
-        assert run_module.main(["--experiment", "table6", "--jobs", "3",
-                                "--fresh"]) == 0
-        assert captured["argv"][:4] == ["--experiment", "table6", "--jobs", "3"]
-        assert "--fresh" in captured["argv"]
+        monkeypatch.setattr(pipeline_cli, "run_graph", fake_run_graph)
+        with pytest.raises(RuntimeError, match="stop before running"):
+            run_module.main(["--experiment", "table6", "--scale", "tiny",
+                             "--jobs", "3", "--fresh", "--no-store"])
+        assert captured["jobs"] == 3 and captured["refresh"]
+        assert captured["store"] is None
 
     def test_no_resume_flag_recomputes(self, tmp_path, monkeypatch, capsys):
         from repro.pipeline.cli import build_parser
@@ -501,3 +510,34 @@ class TestEndToEnd:
         fresh_out = capsys.readouterr().out
         assert (serial_out[serial_out.index("Table VI"):]
                 == fresh_out[fresh_out.index("Table VI"):])
+
+
+def _run_module(cache_dir, module, *argv):
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    return subprocess.run([sys.executable, "-m", module, *argv],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src,
+                               "REPRO_CACHE_DIR": str(cache_dir)})
+
+
+class TestSingleCli:
+    """One experiments CLI, and one definition of the shared flags."""
+
+    @pytest.mark.parametrize("module", ["repro.pipeline",
+                                        "repro.experiments.run",
+                                        "repro.serve"])
+    def test_help_exits_zero(self, module, tmp_path):
+        proc = _run_module(tmp_path, module, "--help")
+        assert proc.returncode == 0, proc.stderr
+        for flag in ("--scale", "--attack-mode", "--retries",
+                     "--task-timeout"):
+            assert flag in proc.stdout, (module, flag)
+
+    def test_experiments_run_accepts_the_pipeline_flags(self, tmp_path):
+        proc = _run_module(tmp_path, "repro.experiments.run", "--experiment",
+                           "table6", "--scale", "tiny", "--no-store",
+                           "--status", "--backend", "serial")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("table6: ")
+        assert "pending   table6/unbounded" in proc.stdout

@@ -524,17 +524,42 @@ class TestCli:
         assert both.specs[0].task == "v"
 
     def test_experiments_cli_delegates_on_resilience_flags(self, monkeypatch):
+        """The resilience flags reach the scheduler at ``--jobs 1`` too."""
         from repro.experiments import run as experiments_run
         seen = {}
 
-        def fake_main(argv):
-            seen["argv"] = argv
-            return 0
+        def fake_run_graph(graph, config, **kwargs):
+            seen.update(kwargs)
+            raise RuntimeError("stop before running")
 
-        monkeypatch.setattr("repro.pipeline.cli.main", fake_main)
-        assert experiments_run.main(["--experiment", "table6",
-                                     "--retries", "2",
-                                     "--fault-plan", "t=fail"]) == 0
-        argv = seen["argv"]
-        assert "--retries" in argv and "--fault-plan" in argv
-        assert argv[argv.index("--jobs") + 1] == "1"
+        monkeypatch.setattr("repro.pipeline.cli.run_graph", fake_run_graph)
+        with pytest.raises(RuntimeError, match="stop before running"):
+            experiments_run.main(["--experiment", "table6", "--scale",
+                                  "tiny", "--no-store", "--retries", "2",
+                                  "--fault-plan", "t=fail"])
+        assert seen["jobs"] == 1
+        assert seen["retry"].max_attempts == 3
+        assert seen["faults"].specs[0].task == "t"
+
+    @pytest.mark.parametrize("retries", ["0", "2"])
+    def test_retries_mean_the_same_on_pipeline_and_serve(self, retries,
+                                                        monkeypatch):
+        """``--retries R`` is R retries (R + 1 attempts) on both CLIs."""
+        from repro.pipeline.cli import retry_policy
+        from repro.serve.__main__ import build_parser as serve_parser
+
+        monkeypatch.delenv("REPRO_FAULT_PLAN", raising=False)
+        pipeline, _ = self._options(["--retries", retries])
+        serve = retry_policy(serve_parser().parse_args(["--retries", retries]))
+        assert pipeline.max_attempts == serve.max_attempts == int(retries) + 1
+
+    def test_serve_defaults_to_three_attempts(self):
+        """Without ``--retries`` the serve CLI builds the daemon's own
+        default policy; the pipeline CLI's default is the scheduler's."""
+        from repro.pipeline.cli import build_parser, retry_policy
+        from repro.serve.__main__ import build_parser as serve_parser
+        from repro.serve.server import DEFAULT_RETRY
+
+        serve = retry_policy(serve_parser().parse_args([]))
+        assert serve == DEFAULT_RETRY and serve.max_attempts == 3
+        assert retry_policy(build_parser().parse_args([])) == RetryPolicy()

@@ -11,17 +11,22 @@ worker pool inherits them; none of them needs a trained model, keeping
 every test fast.
 """
 
+import asyncio
 import json
 import os
+import socket
 import threading
 import time
+from unittest import mock
 
 import pytest
 
 from repro.experiments import ExperimentConfig
 from repro.pipeline import register_executor
-from repro.pipeline.resilience import RetryPolicy, TransientTaskError
+from repro.pipeline.resilience import (TRANSIENT, RetryPolicy,
+                                       TransientTaskError, classify_error)
 from repro.pipeline.store import ResultStore
+from repro.pipeline.store_http import StoreUnavailableError
 from repro.serve import (AttackServer, Client, JobError, JobSpec, ServeError,
                          ServerThread, job_key)
 from repro.serve import protocol
@@ -75,6 +80,31 @@ def _serve_flaky(config, params, deps):
 @register_executor("serve:boom")
 def _serve_boom(config, params, deps):
     raise ValueError("deterministic failure")
+
+
+def _first_attempt(marker):
+    """True exactly once per marker file: the first attempt's witness."""
+    if os.path.exists(marker):
+        return False
+    with open(marker, "w", encoding="utf-8") as handle:
+        handle.write("tried\n")
+    return True
+
+
+@register_executor("serve:hang_once")
+def _serve_hang_once(config, params, deps):
+    """Hangs far past any test deadline on its first attempt only."""
+    if _first_attempt(params["marker"]):
+        time.sleep(60.0)
+    return {"recovered": True}
+
+
+@register_executor("serve:die_once")
+def _serve_die_once(config, params, deps):
+    """Kills its worker process outright on the first attempt only."""
+    if _first_attempt(params["marker"]):
+        os._exit(1)
+    return {"recovered": True}
 
 
 # ---------------------------------------------------------------------- #
@@ -154,6 +184,66 @@ class TestProtocol:
                 client.request({"op": "nonsense"})
             with pytest.raises(ServeError, match="unknown job"):
                 client.status("not-a-job")
+
+
+def _raw_exchange(address, frame):
+    """Send raw bytes on one connection; every response line until EOF."""
+    with socket.create_connection(address, timeout=30.0) as sock:
+        sock.sendall(frame)
+        with sock.makefile("rb") as stream:
+            return [json.loads(line) for line in stream]
+
+
+class TestMalformedRequests:
+    """Each bad request gets one ``ok: false`` line naming what is wrong,
+    and the daemon keeps serving."""
+
+    def test_oversized_frame(self, config, store_dir, monkeypatch):
+        monkeypatch.setattr(protocol, "MAX_LINE_BYTES", 4096)
+        with ServerThread(_server(config, store_dir)) as address:
+            frame = b'{"op": "ping", "pad": "' + b"x" * 65536 + b'"}\n'
+            [answer] = _raw_exchange(address, frame)
+            assert not answer["ok"] and "4096" in answer["error"]
+            assert Client(address).ping()["ok"]
+
+    @pytest.mark.parametrize("field, value, named", [
+        ("attempt", "x", "'attempt'"),
+        ("params", "oops", "'params'"),
+        ("key", 5, "'task' request failed"),
+    ])
+    def test_task_op_with_a_bad_field(self, config, store_dir, field, value,
+                                      named):
+        with ServerThread(_server(config, store_dir)) as address:
+            message = {"op": "task", "task_id": "t", "kind": "serve:echo",
+                       "params": {}, field: value}
+            [answer] = _raw_exchange(address, protocol.encode(message))
+            assert not answer["ok"] and named in answer["error"]
+            assert Client(address).ping()["ok"]
+
+    def test_result_op_with_a_bad_timeout(self, config, store_dir):
+        with ServerThread(_server(config, store_dir)) as address:
+            client = Client(address)
+            ack = client.submit("serve:slow", {"sleep": 0.5})
+            frame = protocol.encode({"op": "result", "id": ack["job_id"],
+                                     "timeout": "soon"})
+            [answer] = _raw_exchange(address, frame)
+            assert not answer["ok"] and "timeout" in answer["error"]
+            assert client.result(ack["job_id"])["ok"]
+
+    def test_task_op_with_a_bad_timeout_never_reaches_the_pool(
+            self, config, store_dir, tmp_path):
+        ledger = str(tmp_path / "ledger.txt")
+        with ServerThread(_server(config, store_dir, jobs=1)) as address:
+            frame = protocol.encode({"op": "task", "task_id": "t",
+                                     "kind": "serve:count",
+                                     "params": {"ledger": ledger},
+                                     "timeout": "soon"})
+            [answer] = _raw_exchange(address, frame)
+            assert not answer["ok"] and "timeout" in answer["error"]
+            # One worker runs submissions in order: had the refused task
+            # been submitted, it would have run before this one.
+            assert Client(address).task("next", "serve:echo", {}, "")["ok"]
+        assert not os.path.exists(ledger)
 
 
 # ---------------------------------------------------------------------- #
@@ -406,6 +496,89 @@ class TestLifecycle:
         assert stats["store"]["root"] == store_dir
         assert set(stats["jobs"]) >= {"submitted", "computed", "done",
                                       "dedup_inflight", "dedup_store"}
+
+    def test_hung_job_times_out_and_retries_on_a_fresh_pool(
+            self, config, store_dir, tmp_path):
+        marker = str(tmp_path / "hang-marker")
+        server = _server(config, store_dir, jobs=1,
+                         retry=_fast_retry(task_timeout=1.0))
+        with ServerThread(server) as address:
+            client = Client(address)
+            ack = client.submit("serve:hang_once", {"marker": marker})
+            result = client.result(ack["job_id"], timeout=30.0)
+            assert result["result"]["value"] == {"recovered": True}
+            status = client.status(ack["job_id"])
+            stats = client.stats()
+        assert status["state"] == DONE and status["attempts"] == 2
+        assert stats["jobs"]["timeouts"] == 1
+        assert stats["pool"]["rebuilds"] == 1
+
+    def test_dead_worker_breaks_the_pool_and_the_job_retries(
+            self, config, store_dir, tmp_path):
+        marker = str(tmp_path / "die-marker")
+        with ServerThread(_server(config, store_dir, jobs=1)) as address:
+            client = Client(address)
+            ack = client.submit("serve:die_once", {"marker": marker})
+            result = client.result(ack["job_id"], timeout=30.0)
+            assert result["result"]["value"] == {"recovered": True}
+            status = client.status(ack["job_id"])
+            stats = client.stats()
+        assert status["state"] == DONE and status["attempts"] == 2
+        assert stats["pool"]["rebuilds"] == 1
+
+    def test_hung_task_op_times_out_and_the_next_one_runs(
+            self, config, store_dir):
+        with ServerThread(_server(config, store_dir, jobs=1)) as address:
+            client = Client(address)
+            with pytest.raises(ServeError) as raised:
+                client.task("hung", "serve:slow", {"sleep": 60.0}, "",
+                            timeout=1.0)
+            assert not raised.value.response["ok"]
+            assert "TaskTimeoutError" in raised.value.response["error_types"]
+            answer = client.task("next", "serve:echo", {"x": "after"}, "")
+            assert answer["ok"] and not answer["hit"]
+            stats = client.stats()
+        assert stats["jobs"]["timeouts"] == 1
+        assert stats["pool"]["rebuilds"] == 1
+
+    @pytest.mark.parametrize("method", ["get_bytes", "put"])
+    def test_unreachable_store_fails_a_task_op_as_transient(
+            self, config, store_dir, monkeypatch, method):
+        """A shared store that is down during a ``task`` op is answered
+        with its error types, so the scheduler retries the task."""
+        server = _server(config, store_dir)
+
+        def unreachable(*args, **kwargs):
+            raise StoreUnavailableError("store daemon unreachable")
+
+        monkeypatch.setattr(server.store, method, unreachable)
+        with ServerThread(server) as address:
+            client = Client(address)
+            with pytest.raises(ServeError) as raised:
+                client.task("t", "serve:echo", {"x": 1}, "", key="ab" * 32)
+            assert client.ping()["ok"]
+        error_types = raised.value.response["error_types"]
+        assert "StoreUnavailableError" in error_types
+        assert "TransientTaskError" in error_types
+        assert classify_error(error_types) == TRANSIENT
+
+    def test_a_peer_that_hung_up_gets_no_answer(self, config, store_dir,
+                                                monkeypatch, caplog):
+        """A connection error while serving a request (a watcher that
+        disconnected mid-stream) ends the connection quietly: no reply
+        written, no error logged."""
+        server = _server(config, store_dir)
+
+        async def hung_up(job, writer):
+            raise ConnectionResetError("peer closed the connection")
+
+        monkeypatch.setattr(server, "_get_job", lambda message: None)
+        monkeypatch.setattr(server, "_watch", hung_up)
+        writer = mock.Mock()
+        with pytest.raises(ConnectionResetError):
+            asyncio.run(server._dispatch({"op": "watch", "id": "j"}, writer))
+        writer.write.assert_not_called()
+        assert not [r for r in caplog.records if r.levelname == "ERROR"]
 
     def test_shutdown_op_stops_the_server(self, config, store_dir):
         runner = ServerThread(_server(config, store_dir))
