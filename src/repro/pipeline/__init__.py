@@ -19,8 +19,7 @@ from .resilience import (FaultPlan, FaultSpec, InjectedFault, RetryPolicy,
                          WorkerCrashError, classify_error)
 from .scheduler import (PipelineError, PipelineResult, PipelineSession,
                         config_salt, run_graph)
-from .store import (STORE_FORMAT_VERSION, ResultStore, StoreBackend,
-                    canonical_payload_bytes, open_store)
+from .store import STORE_FORMAT_VERSION, ResultStore, StoreBackend, open_store
 from .store_http import RemoteStore, StoreServer, StoreServerThread
 from .worker import available_executors, execute_task, register_executor
 
@@ -54,7 +53,6 @@ __all__ = [
     "WorkerCrashError",
     "available_executors",
     "canonical_json",
-    "canonical_payload_bytes",
     "classify_error",
     "config_salt",
     "content_hash",

@@ -277,8 +277,9 @@ def _verify_main(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.pipeline verify",
         description="Re-checksum every stored payload; corrupt payloads "
-                    "and unreadable sidecars are quarantined (moved aside "
-                    "for inspection, recomputed on the next run).")
+                    "and missing or unreadable sidecars are quarantined "
+                    "(moved aside for inspection, recomputed on the next "
+                    "run).")
     _store_args(parser)
     args = parser.parse_args(argv)
     store = _resolve_store(args)
@@ -287,7 +288,6 @@ def _verify_main(argv: List[str]) -> int:
         print(json.dumps(audit, indent=2, sort_keys=True))
     else:
         print(f"checked {audit['checked']} entries: {audit['ok']} ok, "
-              f"{audit['unchecksummed']} unchecksummed (pre-checksum era), "
               f"{len(audit['quarantined'])} quarantined")
         for key in audit["quarantined"]:
             print(f"  quarantined {key}")

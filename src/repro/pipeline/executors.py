@@ -11,7 +11,9 @@ retry classification, backoff, deadlines — and delegates *mechanism* to an
 * :class:`RemoteBackend` — a fleet of ``repro.serve`` daemons reached over
   the JSON socket protocol, scheduled depot-style: round-robin across
   healthy hosts, failover to the next host when one refuses a connection,
-  and work-stealing of straggler shards onto a second host.
+  and work-stealing of straggler shards onto a second host.  Dependencies
+  and results cross the wire in the payload codec of :mod:`.hashing`
+  (canonical JSON, dataclasses revived from an allow-list).
 
 Every backend returns the same worker tuple as
 :func:`~repro.pipeline.worker.run_task` — ``(task_id, ok,
@@ -25,9 +27,7 @@ transient, a config-salt mismatch is permanent), reusing the
 
 from __future__ import annotations
 
-import base64
 import multiprocessing
-import pickle
 import sys
 import threading
 import time
@@ -36,6 +36,7 @@ from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .graph import Task
+from .hashing import canonicalize, revive
 from .resilience import FaultPlan, TaskTimeoutError, error_type_names
 from .worker import execute_task, initialize_worker, run_task
 
@@ -45,25 +46,6 @@ ResultTuple = Tuple[str, bool, Any, float,
 
 #: Names accepted by :func:`make_backend` (and the ``--backend`` flags).
 BACKEND_NAMES = ("auto", "serial", "local", "remote")
-
-
-def encode_deps(deps: Mapping[str, Any]) -> str:
-    """Dependency payloads as a base64 pickle blob for the wire.
-
-    The serve protocol is JSON lines; task dependencies are arbitrary
-    Python payloads (numpy arrays, dataclasses), so they cross as an
-    opaque blob.  Pickle implies a *trusted fleet*: worker daemons are
-    operated by whoever runs the scheduler (see ``docs/SERVING.md``).
-    """
-    return base64.b64encode(
-        pickle.dumps(dict(deps), protocol=pickle.HIGHEST_PROTOCOL)
-    ).decode("ascii")
-
-
-def decode_deps(blob: Optional[str]) -> Dict[str, Any]:
-    if not blob:
-        return {}
-    return pickle.loads(base64.b64decode(blob))
 
 
 class ExecutorBackend:
@@ -289,15 +271,15 @@ class LocalPoolBackend(ExecutorBackend):
 class _Dispatch:
     """One task attempt travelling through the remote backend."""
 
-    __slots__ = ("task", "attempt", "deps_blob", "timeout_s", "key",
+    __slots__ = ("task", "attempt", "deps", "timeout_s", "key",
                  "cacheable", "future", "started", "primary_host", "stolen")
 
-    def __init__(self, task: Task, attempt: int, deps_blob: str,
+    def __init__(self, task: Task, attempt: int, deps: Dict[str, Any],
                  timeout_s: Optional[float], key: Optional[str],
                  cacheable: bool, future: "Future[ResultTuple]") -> None:
         self.task = task
         self.attempt = attempt
-        self.deps_blob = deps_blob
+        self.deps = deps
         self.timeout_s = timeout_s
         self.key = key
         self.cacheable = cacheable
@@ -471,7 +453,7 @@ class RemoteBackend(ExecutorBackend):
                timeout_s: Optional[float] = None,
                key: Optional[str] = None) -> "Future[ResultTuple]":
         future: "Future[ResultTuple]" = Future()
-        dispatch = _Dispatch(task, attempt, encode_deps(deps), timeout_s,
+        dispatch = _Dispatch(task, attempt, canonicalize(deps), timeout_s,
                              key, task.cacheable, future)
         with self._lock:
             self._counters["dispatches"] += 1
@@ -565,7 +547,7 @@ class RemoteBackend(ExecutorBackend):
         client = Client(address, timeout=timeout)
         message = {"op": "task", "task_id": task.task_id, "kind": task.kind,
                    "params": dict(task.params), "attempt": dispatch.attempt,
-                   "deps": dispatch.deps_blob, "key": dispatch.key,
+                   "deps": dispatch.deps, "key": dispatch.key,
                    "cacheable": dispatch.cacheable, "salt": self.salt_hash,
                    "timeout": dispatch.timeout_s}
         started = time.perf_counter()
@@ -605,9 +587,8 @@ class RemoteBackend(ExecutorBackend):
             with self._lock:
                 self._counters["remote_hits"] += 1
         try:
-            payload = pickle.loads(base64.b64decode(response["blob"]))
-        except (KeyError, ValueError, pickle.UnpicklingError, EOFError) \
-                as error:
+            payload = revive(response["payload"])
+        except (KeyError, ValueError) as error:
             return (task.task_id, False,
                     f"undecodable remote payload from {host}: {error!r}",
                     time.perf_counter() - started, None,
@@ -715,8 +696,6 @@ __all__ = [
     "RemoteBackend",
     "SerialBackend",
     "compute_salt_hash",
-    "decode_deps",
-    "encode_deps",
     "make_backend",
     "pool_mp_context",
     "terminate_pool",

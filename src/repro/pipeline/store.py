@@ -3,9 +3,11 @@
 Task outputs are filed under their content hash (see :mod:`.hashing` and
 :meth:`..pipeline.graph.TaskGraph.fingerprints`), so re-running the same
 experiment — or resuming an interrupted run — skips every task whose inputs
-are unchanged.  Payloads are pickled (they contain numpy arrays and small
-dataclasses); a JSON sidecar keeps human-inspectable metadata per entry,
-including a SHA-256 checksum of the payload bytes.
+are unchanged.  Payloads are canonical JSON (:func:`.hashing.canonical_json`,
+read back through :func:`.hashing.revive`), so their bytes depend only on
+their value and decoding them never constructs anything outside the
+payload allow-list; a JSON sidecar keeps human-inspectable metadata per
+entry, including a SHA-256 checksum of the payload bytes.
 
 Two implementations sit behind the :class:`StoreBackend` interface:
 
@@ -22,12 +24,12 @@ interrupted runs never leave a truncated entry behind.  Reads verify the
 checksum: an entry whose bytes no longer match (bit rot, a torn copy, an
 injected ``corrupt`` fault) is *quarantined* — moved to ``<root>/corrupt/``
 for post-mortem inspection rather than silently deleted — and reported as a
-miss so the scheduler recomputes it.  A sidecar that exists but cannot be
-parsed is treated the same way: damaged on-disk state must disable the
-entry, never the integrity check.  :meth:`ResultStore.verify` audits a
-whole store; :meth:`ResultStore.gc` evicts least-recently-used entries
-against a byte/entry budget so a long-lived shared store can run
-indefinitely.
+miss so the scheduler recomputes it.  A sidecar that is missing, cannot be
+parsed or carries no checksum is treated the same way: damaged on-disk
+state must disable the entry, never the integrity check.
+:meth:`ResultStore.verify` audits a whole store; :meth:`ResultStore.gc`
+evicts least-recently-used entries against a byte/entry budget so a
+long-lived shared store can run indefinitely.
 """
 
 from __future__ import annotations
@@ -35,11 +37,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import pickle
 import time
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..ioutils import atomic_write_bytes
+from .hashing import canonical_json, revive
 
 #: Bump to invalidate every existing store entry on a payload format change.
 #: v2: attack cells gained the repro.accel compute policy (fast-math
@@ -52,50 +54,62 @@ from ..ioutils import atomic_write_bytes
 #: v4: the ``tensor_backend`` and ``graph_capture`` knobs are gone, so the
 #: resolved compute policy no longer salts a backend and every content
 #: hash changes; payloads themselves are unchanged.
-#: (Checksums are additive sidecar metadata: entries written before they
-#: existed still load, they just skip verification — no bump needed.)
-STORE_FORMAT_VERSION = 4
+#: v5: payloads are canonical JSON instead of pickle, and every entry has
+#: a checksummed sidecar (an entry without one is quarantined).
+STORE_FORMAT_VERSION = 5
 
 
 def _payload_checksum(blob: bytes) -> str:
     return "sha256:" + hashlib.sha256(blob).hexdigest()
 
 
-def canonical_payload_bytes(payload: Any) -> bytes:
-    """Pickle ``payload`` to bytes that depend only on its value.
-
-    A payload that crossed a worker-process boundary carries different
-    string-interning/memo sharing than the same value computed in-process,
-    which pickles to different (equal but not identical) bytes.  One
-    dumps/loads round-trip is a fixed point of that normalisation, so an
-    entry's bytes depend only on its value — not on whether a serial run,
-    a pool worker, a remote daemon or a retried attempt produced it.  That
-    is what makes "every backend stores bit-for-bit the same payloads"
-    checkable at all.
-    """
-    blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    return pickle.dumps(pickle.loads(blob), protocol=pickle.HIGHEST_PROTOCOL)
+def _integrity_problem(blob: bytes,
+                       meta: Optional[Dict[str, Any]]) -> Optional[str]:
+    """Why an entry must not be served, or ``None`` when it verifies."""
+    if meta is None:
+        return "missing or unreadable metadata sidecar"
+    if meta.get("checksum") != _payload_checksum(blob):
+        return "checksum mismatch"
+    return None
 
 
 class StoreBackend:
     """What the scheduler and the serve layer require of a result store.
 
-    The contract is value-oriented (:meth:`get` / :meth:`put`) with a
-    byte-level escape hatch (:meth:`get_bytes` / :meth:`put_bytes`) for
-    transports and bitwise comparisons.  Implementations must keep the
-    canonical-bytes guarantee of :func:`canonical_payload_bytes`: the bytes
-    stored for a payload depend only on its value.
+    The contract is value-oriented (:meth:`get` / :meth:`put`, written
+    once here over the payload codec) with a byte-level escape hatch
+    (:meth:`get_bytes` / :meth:`put_bytes`) that implementations provide
+    for transports and bitwise comparisons.  The bytes stored for a
+    payload are its :func:`~.hashing.canonical_json`, so they depend only
+    on its value.
     """
 
     def contains(self, key: str, count: bool = True) -> bool:
         raise NotImplementedError
 
     def get(self, key: str) -> Any:
-        raise NotImplementedError
+        """Load, verify (see :meth:`get_bytes`) and decode a payload; a
+        payload that does not decode is quarantined and reported a miss."""
+        blob = self.get_bytes(key)
+        try:
+            payload = revive(json.loads(blob))
+        except ValueError as error:
+            self._quarantine(key, f"undecodable payload: {error}")
+            self._session["misses"] += 1
+            raise KeyError(f"{key} (corrupt entry: {error})") from None
+        self._session["hits"] += 1
+        self._session["bytes_read"] += len(blob)
+        return payload
 
     def put(self, key: str, payload: Any,
             metadata: Optional[Dict[str, Any]] = None) -> str:
-        raise NotImplementedError
+        """Write ``payload`` as canonical JSON (see :meth:`put_bytes`)."""
+        return self.put_bytes(key, canonical_json(payload).encode("utf-8"),
+                              metadata=metadata)
+
+    def _quarantine(self, key: str, reason: str) -> None:
+        """Set a corrupt entry aside (a remote store's daemon does that
+        on its own reads)."""
 
     def get_bytes(self, key: str) -> bytes:
         raise NotImplementedError
@@ -204,13 +218,9 @@ class ResultStore(StoreBackend):
     def get_bytes(self, key: str) -> bytes:
         """Load and checksum-verify a payload's raw bytes.
 
-        Raises ``KeyError`` on a missing entry and on a corrupt one —
-        checksum mismatch against the sidecar, or a sidecar that exists
-        but cannot be parsed — after moving it into ``<root>/corrupt/``
-        (quarantine).  An *absent* sidecar marks a pre-checksum entry and
-        is served unverified; an *unreadable* sidecar means the on-disk
-        state is damaged, which must disable the entry, not the integrity
-        check.
+        Raises ``KeyError`` on a missing entry and on a corrupt one — a
+        sidecar that is missing, unreadable or disagrees with the bytes —
+        after moving it into ``<root>/corrupt/`` (quarantine).
         """
         path = self.payload_path(key)
         try:
@@ -222,59 +232,23 @@ class ResultStore(StoreBackend):
         except OSError as error:
             self._session["misses"] += 1
             raise KeyError(f"{key} (unreadable entry: {error})") from None
-        meta, sidecar_corrupt = self._load_metadata(key)
-        if sidecar_corrupt:
-            self._quarantine(key, "unreadable metadata sidecar")
+        meta = self._load_metadata(key)
+        problem = _integrity_problem(blob, meta)
+        if problem:
+            self._quarantine(key, problem)
             self._session["misses"] += 1
-            raise KeyError(f"{key} (corrupt entry: unreadable metadata "
-                           f"sidecar; quarantined)")
-        expected = meta.get("checksum")
-        if expected is not None and _payload_checksum(blob) != expected:
-            self._quarantine(key, "checksum mismatch")
-            self._session["misses"] += 1
-            raise KeyError(f"{key} (corrupt entry: checksum mismatch; "
-                           f"quarantined)")
+            raise KeyError(f"{key} (corrupt entry: {problem}; quarantined)")
         self._touch(key, path, meta)
         return blob
 
-    def get(self, key: str) -> Any:
-        """Load, verify (see :meth:`get_bytes`) and unpickle a payload."""
-        blob = self.get_bytes(key)
-        try:
-            payload = pickle.loads(blob)
-        except (pickle.UnpicklingError, EOFError, OSError, ValueError,
-                AttributeError, ImportError, IndexError) as error:
-            self._quarantine(key, f"unpicklable payload: {error}")
-            self._session["misses"] += 1
-            raise KeyError(f"{key} (corrupt entry: {error}; quarantined)") \
-                from None
-        self._session["hits"] += 1
-        self._session["bytes_read"] += len(blob)
-        return payload
-
-    def put(self, key: str, payload: Any,
-            metadata: Optional[Dict[str, Any]] = None) -> str:
-        """Atomically write ``payload`` (and a JSON metadata sidecar).
-
-        The payload is canonicalised via :func:`canonical_payload_bytes`;
-        the sidecar records a SHA-256 checksum of the stored bytes, which
-        :meth:`get` and :meth:`verify` check before unpickling.
-        """
-        return self.put_bytes(key, canonical_payload_bytes(payload),
-                              metadata=metadata)
-
     def put_bytes(self, key: str, blob: bytes,
                   metadata: Optional[Dict[str, Any]] = None) -> str:
-        """Write already-canonical payload bytes (transports, replication).
+        """Atomically write canonical payload bytes and their JSON sidecar.
 
-        Callers own the canonical-bytes guarantee; anything produced by
-        :func:`canonical_payload_bytes` (including every
-        :class:`RemoteStore <repro.pipeline.store_http.RemoteStore>`
-        upload) qualifies.
+        The sidecar (with the checksum :meth:`get_bytes` verifies) lands
+        first, so a reader never finds a payload without its checksum.
         """
         path = self.payload_path(key)
-        atomic_write_bytes(path, blob)
-        self._session["bytes_written"] += len(blob)
         meta = {"key": key, "format_version": STORE_FORMAT_VERSION,
                 "created_at": time.time(),
                 "checksum": _payload_checksum(blob),
@@ -282,32 +256,21 @@ class ResultStore(StoreBackend):
         meta.update(metadata or {})
         atomic_write_bytes(self._meta_path(key),
                            json.dumps(meta, indent=2, default=str).encode("utf-8"))
+        atomic_write_bytes(path, blob)
+        self._session["bytes_written"] += len(blob)
         return path
 
-    def _load_metadata(self, key: str) -> Tuple[Dict[str, Any], bool]:
-        """Sidecar metadata plus a *corrupt* flag.
-
-        ``({}, False)`` — sidecar absent: a pre-checksum entry, legal.
-        ``({}, True)`` — sidecar present but unreadable/unparseable: the
-        on-disk state is damaged and the entry must not be trusted.  The
-        distinction is what keeps a torn sidecar from silently disabling
-        checksum verification (``checksum=None`` looks identical to a
-        legacy entry otherwise).
-        """
+    def _load_metadata(self, key: str) -> Optional[Dict[str, Any]]:
+        """The sidecar, or ``None`` when it is missing or unreadable."""
         try:
             with open(self._meta_path(key), "r", encoding="utf-8") as handle:
                 meta = json.load(handle)
-        except FileNotFoundError:
-            return {}, False
-        except (json.JSONDecodeError, UnicodeDecodeError, OSError):
-            return {}, True
-        if not isinstance(meta, dict):
-            return {}, True
-        return meta, False
+        except (ValueError, OSError):
+            return None
+        return meta if isinstance(meta, dict) else None
 
     def metadata(self, key: str) -> Dict[str, Any]:
-        meta, _ = self._load_metadata(key)
-        return meta
+        return self._load_metadata(key) or {}
 
     def discard(self, key: str) -> bool:
         """Remove one entry; returns whether a payload existed.
@@ -389,41 +352,26 @@ class ResultStore(StoreBackend):
     def verify(self) -> Dict[str, Any]:
         """Audit every entry's checksum; quarantine the corrupt ones.
 
-        Returns a summary with *disjoint* buckets: ``ok`` counts entries
-        whose checksum actually verified, ``unchecksummed`` the entries
-        that predate checksums (no sidecar checksum to verify against —
-        reported, not quarantined, and *not* counted as ok), and
-        ``quarantined`` the keys that failed.  ``ok + unchecksummed +
-        len(quarantined) == checked`` always holds, so the summary cannot
-        overstate how much of the store was actually verified.
+        Returns ``checked``, ``ok`` (entries whose checksum verified) and
+        ``quarantined`` (the keys that failed); ``ok + len(quarantined) ==
+        checked`` always holds.
         """
-        checked = ok = unchecksummed = 0
+        checked = ok = 0
         quarantined: List[str] = []
         for key in list(self.keys()):
             checked += 1
-            meta, sidecar_corrupt = self._load_metadata(key)
-            if sidecar_corrupt:
-                self._quarantine(key, "unreadable metadata sidecar")
-                quarantined.append(key)
-                continue
-            expected = meta.get("checksum")
             try:
                 with open(self.payload_path(key), "rb") as handle:
-                    blob = handle.read()
+                    problem = _integrity_problem(handle.read(),
+                                                 self._load_metadata(key))
             except OSError:
-                self._quarantine(key, "unreadable payload")
-                quarantined.append(key)
-                continue
-            if expected is None:
-                unchecksummed += 1
-                continue
-            if _payload_checksum(blob) != expected:
-                self._quarantine(key, "checksum mismatch")
+                problem = "unreadable payload"
+            if problem:
+                self._quarantine(key, problem)
                 quarantined.append(key)
             else:
                 ok += 1
-        return {"checked": checked, "ok": ok, "quarantined": quarantined,
-                "unchecksummed": unchecksummed}
+        return {"checked": checked, "ok": ok, "quarantined": quarantined}
 
     # ------------------------------------------------------------------ #
     # Garbage collection
@@ -438,9 +386,9 @@ class ResultStore(StoreBackend):
         payload file's atime freezes at creation and LRU-by-atime would
         silently evict the entries a fleet reads most.  Entries never read
         through this code fall back to the sidecar's ``created_at``, then
-        to ``st_atime`` (pre-sidecar legacy entries).  With no budget
-        given this is a no-op inventory pass.  Returns the eviction
-        summary (kept/evicted counts, bytes before and after).
+        to ``st_atime``.  With no budget given this is a no-op inventory
+        pass.  Returns the eviction summary (kept/evicted counts, bytes
+        before and after).
         """
         if (max_bytes is not None and max_bytes < 0) or \
                 (max_entries is not None and max_entries < 0):
@@ -452,7 +400,7 @@ class ResultStore(StoreBackend):
                 info = os.stat(self.payload_path(key))
             except OSError:
                 continue
-            meta, _ = self._load_metadata(key)
+            meta = self.metadata(key)
             recency = meta.get("last_access", meta.get("created_at",
                                                        info.st_atime))
             try:
@@ -545,4 +493,4 @@ def open_store(spec: Any) -> StoreBackend:
 
 
 __all__ = ["ResultStore", "StoreBackend", "STORE_FORMAT_VERSION",
-           "canonical_payload_bytes", "open_store"]
+           "open_store"]

@@ -5,17 +5,18 @@ One :class:`StoreServer` fronts an on-disk
 ``repro.serve`` daemons and ad-hoc scripts point a :class:`RemoteStore`
 at it (``--store-url http://host:port``) and share one content-addressed
 memoisation layer.  Sharing is safe by construction — every key carries
-the full config/compute-policy salt — and payload bytes are canonical
-(see :func:`~repro.pipeline.store.canonical_payload_bytes`), so whichever
-fleet member computes a cell first stores exactly the bytes every other
-member would have.
+the full config/compute-policy salt — and payload bytes are canonical JSON
+(see :func:`~repro.pipeline.hashing.canonical_json`), so whichever fleet
+member computes a cell first stores exactly the bytes every other member
+would have, and a client decodes them without constructing anything
+outside the payload allow-list (:func:`~repro.pipeline.hashing.revive`).
 
 The protocol is plain HTTP/1.1 on the standard library only:
 
 ===========================  =================================================
 ``HEAD /entry/<key>``        existence probe (``200`` / ``404``)
-``GET /entry/<key>``         payload bytes; ``X-Repro-Checksum`` header
-``PUT /entry/<key>``         store payload bytes; metadata rides in the
+``GET /entry/<key>``         payload JSON; ``X-Repro-Checksum`` header
+``PUT /entry/<key>``         store payload JSON; metadata rides in the
                              ``X-Repro-Meta`` header (base64 JSON)
 ``DELETE /entry/<key>``      discard one entry
 ``GET /meta/<key>``          metadata sidecar as JSON
@@ -46,7 +47,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from .resilience import TransientTaskError, corrupt_payload_file
-from .store import ResultStore, StoreBackend, canonical_payload_bytes
+from .store import ResultStore, StoreBackend
 
 #: Metadata header: base64(JSON) keeps arbitrary text header-safe.
 META_HEADER = "X-Repro-Meta"
@@ -319,28 +320,10 @@ class RemoteStore(StoreBackend):
                 self._session["quarantined"] += 1
             raise KeyError(f"{key} ({self._json(blob).get('error', status)})")
         expected = headers.get(CHECKSUM_HEADER.title())
-        if expected and \
-                "sha256:" + hashlib.sha256(blob).hexdigest() != expected:
+        if "sha256:" + hashlib.sha256(blob).hexdigest() != expected:
             self._session["misses"] += 1
             raise KeyError(f"{key} (payload damaged in transit)")
         return blob
-
-    def get(self, key: str) -> Any:
-        import pickle
-        blob = self.get_bytes(key)
-        try:
-            payload = pickle.loads(blob)
-        except Exception as error:  # noqa: BLE001 — treat as a miss
-            self._session["misses"] += 1
-            raise KeyError(f"{key} (unpicklable payload: {error})") from None
-        self._session["hits"] += 1
-        self._session["bytes_read"] += len(blob)
-        return payload
-
-    def put(self, key: str, payload: Any,
-            metadata: Optional[Dict[str, Any]] = None) -> str:
-        return self.put_bytes(key, canonical_payload_bytes(payload),
-                              metadata=metadata)
 
     def put_bytes(self, key: str, blob: bytes,
                   metadata: Optional[Dict[str, Any]] = None) -> str:

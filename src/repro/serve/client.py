@@ -20,6 +20,7 @@ from __future__ import annotations
 import socket
 from typing import Any, Dict, Iterator, Mapping, Optional, Union
 
+from ..pipeline.hashing import canonicalize
 from . import protocol
 
 Address = Union[str, "tuple[str, int]"]
@@ -124,9 +125,9 @@ class Client:
                timeout: Optional[float] = None) -> Dict[str, Any]:
         """Fetch a job's payload, blocking server-side until it finishes.
 
-        The returned dict carries the JSON-safe payload under ``result``
+        The returned dict carries the payload's JSON form under ``result``
         (with a human-readable ``formatted`` rendering when the payload
-        provides one).
+        provides one; see :func:`~repro.serve.protocol.wire_payload`).
         """
         message: Dict[str, Any] = {"op": "result", "id": job_id,
                                    "wait": wait}
@@ -139,21 +140,23 @@ class Client:
         return self.request({"op": "cancel", "id": job_id})
 
     def task(self, task_id: str, kind: str, params: Mapping[str, Any],
-             deps_blob: str, *, attempt: int = 1, key: Optional[str] = None,
-             cacheable: bool = True, salt: Optional[str] = None,
+             deps: Mapping[str, Any], *, attempt: int = 1,
+             key: Optional[str] = None, cacheable: bool = True,
+             salt: Optional[str] = None,
              timeout: Optional[float] = None) -> Dict[str, Any]:
         """Execute one pipeline task synchronously on the daemon.
 
-        ``deps_blob`` is the base64 pickle produced by
-        :func:`repro.pipeline.executors.encode_deps`; the response's
-        ``blob`` decodes with :func:`~repro.pipeline.executors.decode_deps`.
-        This is the distributed-scheduler hot path — retries and failover
-        belong to the caller, not the daemon.
+        ``deps`` (dependency task id → payload) is sent in the payload
+        codec's JSON form; the response's ``payload`` decodes with
+        :func:`repro.pipeline.hashing.revive`.  This is the
+        distributed-scheduler hot path — retries and failover belong to
+        the caller, not the daemon.
         """
         message: Dict[str, Any] = {
             "op": "task", "task_id": task_id, "kind": kind,
-            "params": dict(params), "deps": deps_blob, "attempt": attempt,
-            "key": key, "cacheable": cacheable, "salt": salt,
+            "params": dict(params), "deps": canonicalize(dict(deps)),
+            "attempt": attempt, "key": key, "cacheable": cacheable,
+            "salt": salt,
         }
         if timeout is not None:
             message["timeout"] = timeout

@@ -21,7 +21,8 @@ Operations
     ``{"op": "status", "id": JOB}`` — JSON snapshot of one job.
 ``result``
     ``{"op": "result", "id": JOB, "wait": true, "timeout": SECONDS}`` —
-    block (server-side) until the job finishes, then return its payload.
+    block (server-side) until the job finishes, then return its payload
+    (see :func:`wire_payload`).
 ``cancel``
     ``{"op": "cancel", "id": JOB}`` — cancel a queued job.  A running
     worker is never preempted: cancelling a running job is refused.
@@ -30,16 +31,17 @@ Operations
     stream live events until the job finishes.
 ``task``
     ``{"op": "task", "task_id": ..., "kind": ..., "params": {...},
-    "deps": B64, "attempt": N, "key": KEY, "cacheable": true,
+    "deps": {...}, "attempt": N, "key": KEY, "cacheable": true,
     "salt": HASH, "timeout": SECONDS}`` — execute one pipeline task
     synchronously (the distributed-scheduler hot path; see
-    :class:`repro.pipeline.executors.RemoteBackend`).  ``deps`` is a
-    base64 pickle of the task's dependency payloads; the response carries
-    the result the same way (``blob``) plus ``hit`` when it was served
-    from the daemon's result store, and ``elapsed``/``stats`` when
-    computed.  ``salt`` must match the daemon's config salt hash — a
-    mismatch is refused (permanently) rather than silently computing
-    against a different configuration.
+    :class:`repro.pipeline.executors.RemoteBackend`).  ``deps`` maps
+    dependency task ids to payloads in the codec's JSON form (a type
+    outside its allow-list is refused with ``TaskPayloadError``); the
+    response carries the result the same way (``payload``) plus ``hit``
+    when it was served from the daemon's result store, and
+    ``elapsed``/``stats`` when computed.  ``salt`` must match the daemon's
+    config salt hash — a mismatch is refused (permanently) rather than
+    silently computing against a different configuration.
 ``stats``
     Server counters: job/dedup totals, pool state, store traffic.
 ``shutdown``
@@ -54,6 +56,8 @@ from __future__ import annotations
 
 import json
 from typing import Any, Dict, Optional
+
+from ..pipeline.hashing import canonicalize
 
 #: Protocol revision, echoed by ``ping``; bump on incompatible changes.
 PROTOCOL_VERSION = 1
@@ -105,26 +109,18 @@ def ok_response(**fields: Any) -> Dict[str, Any]:
 def wire_payload(payload: Any) -> Dict[str, Any]:
     """Ship a job result over JSON.
 
-    Cell payloads are JSON-safe dicts by construction; richer results (a
+    ``value`` is the payload codec's JSON form (an ``AttackOutcome`` is an
+    object tagged with its class name, which
+    :func:`repro.pipeline.hashing.revive` rebuilds); richer results (a
     ``TableResult``) additionally carry their human-readable rendering.
-    Anything unserialisable degrades to ``repr`` rather than failing the
-    response.
     """
-    out: Dict[str, Any] = {}
+    out: Dict[str, Any] = {"value": canonicalize(payload)}
     formatted = getattr(payload, "formatted", None)
     if callable(formatted):
         try:
             out["formatted"] = formatted()
         except Exception:  # noqa: BLE001 — rendering is best-effort
             pass
-    try:
-        json.dumps(payload)
-        out["value"] = payload
-    except (TypeError, ValueError):
-        try:
-            out["value"] = json.loads(json.dumps(payload, default=str))
-        except (TypeError, ValueError):
-            out["value"] = repr(payload)
     return out
 
 

@@ -36,8 +36,8 @@ operational guide.
 from __future__ import annotations
 
 import asyncio
-import base64
 import contextlib
+import json
 import logging
 import os
 import threading
@@ -45,12 +45,13 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..pipeline.executors import (compute_salt_hash, decode_deps,
-                                  pool_mp_context, terminate_pool)
+from ..pipeline.executors import (compute_salt_hash, pool_mp_context,
+                                  terminate_pool)
+from ..pipeline.hashing import canonicalize, revive
 from ..pipeline.resilience import (TRANSIENT, RetryPolicy, TaskTimeoutError,
                                    classify_error, error_type_names)
 from ..pipeline.scheduler import config_to_dict
-from ..pipeline.store import canonical_payload_bytes, open_store
+from ..pipeline.store import open_store
 from ..pipeline.worker import run_task
 from ..telemetry import get_tracer
 from . import protocol
@@ -571,9 +572,11 @@ class AttackServer:
         The distributed scheduler's hot path: one attempt on the warm
         pool, no server-side retry — retry, backoff and host failover are
         the dispatching scheduler's job, and double-retrying here would
-        multiply attempt budgets.  Cacheable results are written to this
-        daemon's store and returned as a base64 pickle blob either way;
-        a store hit skips the pool entirely.
+        multiply attempt budgets.  ``deps`` and the answer's ``payload``
+        are the payload codec's JSON; ``deps`` is revived (refusing any
+        type outside the allow-list) before anything reaches the pool.
+        Cacheable results are written to this daemon's store; a store hit
+        skips the pool entirely and answers with the stored JSON.
         """
         if self._stopping:
             self.counters["rejected"] += 1
@@ -597,6 +600,14 @@ class AttackServer:
         key = message.get("key")
         cacheable = bool(message.get("cacheable", True))
         self.counters["tasks"] += 1
+        deps = message.get("deps") or {}
+        if not isinstance(deps, dict):
+            raise JobError(f"'deps' must be a JSON object, got {deps!r}")
+        try:
+            deps = revive(deps)
+        except ValueError as error:
+            return protocol.error_response(
+                f"undecodable deps: {error}", error_types=["TaskPayloadError"])
         if key and cacheable:
             try:
                 blob = await asyncio.to_thread(self.store.get_bytes, key)
@@ -604,15 +615,8 @@ class AttackServer:
                 pass        # absent (or quarantined): compute it
             else:
                 self.counters["task_hits"] += 1
-                return protocol.ok_response(
-                    hit=True, blob=base64.b64encode(blob).decode("ascii"),
-                    elapsed=0.0)
-        try:
-            deps = decode_deps(message.get("deps"))
-        except Exception as error:  # noqa: BLE001 — malformed blob
-            return protocol.error_response(
-                f"undecodable deps blob: {error!r}",
-                error_types=["TaskPayloadError"])
+                return protocol.ok_response(hit=True, payload=json.loads(blob),
+                                            elapsed=0.0)
         async with self._semaphore:
             ok, payload_or_error, elapsed, stats, error_types = \
                 await self._attempt(f"task {task_id!r}", attempt, timeout,
@@ -625,9 +629,8 @@ class AttackServer:
         if key and cacheable:
             await self._store_result(key, task_id, kind, params,
                                      payload_or_error, elapsed, stats)
-        blob = canonical_payload_bytes(payload_or_error)
         return protocol.ok_response(
-            hit=False, blob=base64.b64encode(blob).decode("ascii"),
+            hit=False, payload=canonicalize(payload_or_error),
             elapsed=elapsed, stats=stats)
 
     def _identity(self) -> Dict[str, Any]:

@@ -32,8 +32,9 @@ Event vocabulary (see the README schema table):
     rebuilt (``action="rebuild"``) or the run degrading to serial
     execution (``action="degrade"``).
 ``store_quarantine``
-    The result store moved a corrupt entry (checksum mismatch, unreadable
-    pickle) into ``<root>/corrupt/`` instead of serving it.
+    The result store moved a corrupt entry (checksum mismatch, missing
+    sidecar, undecodable payload) into ``<root>/corrupt/`` instead of
+    serving it.
 ``span``
     Generic named timing span (``Tracer.span``).
 ``counters``

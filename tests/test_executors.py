@@ -29,13 +29,13 @@ from repro.pipeline import (RemoteStore, ResultStore, RetryPolicy, Task,
 from repro.pipeline import cli as pipeline_cli
 from repro.pipeline.executors import (BACKEND_NAMES, LocalPoolBackend,
                                       RemoteBackend, SerialBackend,
-                                      compute_salt_hash, decode_deps,
-                                      encode_deps, make_backend)
+                                      compute_salt_hash, make_backend)
+from repro.pipeline.hashing import canonical_json, canonicalize, revive
 from repro.pipeline.progress import FAILED, RAN
 from repro.pipeline.resilience import (PERMANENT, TRANSIENT, classify_error,
                                        error_type_names)
 from repro.ioutils import atomic_write_bytes
-from repro.pipeline.store import StoreBackend, canonical_payload_bytes
+from repro.pipeline.store import StoreBackend
 from repro.pipeline.store_http import (StoreServerThread,
                                        StoreUnavailableError)
 from repro.serve import AttackServer, Client, ServerThread
@@ -332,16 +332,18 @@ class TestRemoteFleet:
         client = Client((host, int(port)))
         salt = compute_salt_hash({})
         key = "ab" * 32
-        first = client.task("t", "exec:sum", {"add": 5},
-                            encode_deps({"a": {"value": 2}}),
+        first = client.task("t", "exec:sum", {"add": 5}, {"a": {"value": 2}},
                             key=key, salt=salt)
         assert first["ok"] and not first["hit"]
-        assert decode_deps(first["blob"]) == {"value": 7}
-        second = client.task("t", "exec:sum", {"add": 5},
-                             encode_deps({"a": {"value": 2}}),
+        assert first["payload"] == {"value": 7}
+        assert "blob" not in first
+        second = client.task("t", "exec:sum", {"add": 5}, {"a": {"value": 2}},
                              key=key, salt=salt)
         assert second["hit"]
-        assert decode_deps(second["blob"]) == {"value": 7}
+        # A store hit answers with the stored JSON itself.
+        assert second["payload"] == {"value": 7}
+        with open(daemon.server.store.payload_path(key), "rb") as handle:
+            assert json.loads(handle.read()) == second["payload"]
         stats = client.stats()
         assert stats["jobs"]["tasks"] == 2
         assert stats["jobs"]["task_hits"] == 1
@@ -368,7 +370,7 @@ class TestRemoteStore:
         assert list(remote.keys()) == [key]
         # Bytes on disk are the canonical form — whoever wrote them.
         assert _payload_bytes(local)[key] \
-            == canonical_payload_bytes({"x": [1, 2, 3]})
+            == canonical_json({"x": [1, 2, 3]}).encode("utf-8")
         assert remote.discard(key)
         assert not remote.contains(key)
 
@@ -547,13 +549,20 @@ class TestBugfixRegressions:
         assert audit["quarantined"] == [key]
 
     def test_absent_sidecar_still_serves_pre_checksum_entry(self, tmp_path):
-        """Absent (pre-checksum era) and corrupt sidecars are distinct."""
+        """An absent sidecar leaves nothing to verify the payload against,
+        so the entry is quarantined like a corrupt one — never served.
+        (The name predates store format 5, when such an entry was served
+        unverified.)"""
         store = ResultStore(str(tmp_path))
         key = "77" * 32
         store.put(key, "legacy")
         os.unlink(store._meta_path(key))
-        assert store.get(key) == "legacy"
-        assert store.session_stats()["quarantined"] == 0
+        with pytest.raises(KeyError, match="quarantined"):
+            store.get(key)
+        assert store.session_stats()["quarantined"] == 1
+        assert not store.contains(key, count=False)
+        assert os.path.exists(os.path.join(store.root, "corrupt",
+                                           key + ".pkl"))
 
     def test_backoff_cap_holds_with_jitter(self):
         """The cap must bound the *jittered* sleep, not the raw one."""
@@ -571,19 +580,20 @@ class TestBugfixRegressions:
         assert all(0.75 <= d <= 1.25 for d in delays)
 
     def test_verify_buckets_are_disjoint_and_sum(self, tmp_path):
+        """Two buckets: an entry either verified or was quarantined —
+        a missing sidecar counts as corrupt, not as a third bucket."""
         store = ResultStore(str(tmp_path))
         store.put("88" * 32, "checksummed")
-        store.put("99" * 32, "legacy")
+        store.put("99" * 32, "no sidecar")
         os.unlink(store._meta_path("99" * 32))
         store.put("aa" * 32, "doomed")
         store.corrupt_entry("aa" * 32)
         audit = store.verify()
+        assert set(audit) == {"checked", "ok", "quarantined"}
         assert audit["checked"] == 3
         assert audit["ok"] == 1
-        assert audit["unchecksummed"] == 1
-        assert audit["quarantined"] == ["aa" * 32]
-        assert audit["ok"] + audit["unchecksummed"] \
-            + len(audit["quarantined"]) == audit["checked"]
+        assert audit["quarantined"] == ["99" * 32, "aa" * 32]
+        assert audit["ok"] + len(audit["quarantined"]) == audit["checked"]
 
 
 # ---------------------------------------------------------------------- #
@@ -606,8 +616,7 @@ class TestStoreCLI:
         assert pipeline_cli.main(["verify", "--store", str(tmp_path / "s"),
                                   "--json"]) == 0
         audit = json.loads(capsys.readouterr().out)
-        assert audit == {"checked": 1, "ok": 1, "quarantined": [],
-                         "unchecksummed": 0}
+        assert audit == {"checked": 1, "ok": 1, "quarantined": []}
 
     def test_gc_subcommand(self, tmp_path, capsys):
         store = ResultStore(str(tmp_path / "s"))
@@ -674,7 +683,15 @@ class TestLocalPoolBackend:
             backend.shutdown(wait=True)
 
     def test_deps_survive_the_wire_encoding(self):
-        deps = {"a": {"value": 1}, "b": [1, 2, {"x": (3, 4)}]}
-        assert decode_deps(encode_deps(deps)) == deps
-        assert decode_deps(None) == {}
-        assert decode_deps("") == {}
+        """Deps cross the wire as the codec's JSON: plain data and tagged
+        dataclasses come back equal (tuples come back as lists — no task
+        output holds one)."""
+        from repro.metrics.attack_metrics import AttackOutcome
+        outcome = AttackOutcome(0.5, 0.25, 0.125, 0.75, 0.5, psr=0.1)
+        deps = {"a": {"value": 1}, "b": [1, 2, {"x": [3, 4]}],
+                "c": {"records": [{"outcome": outcome}]}}
+        wire = json.loads(json.dumps(canonicalize(deps)))
+        assert wire["c"]["records"][0]["outcome"]["__dataclass__"] \
+            == "AttackOutcome"
+        assert revive(wire) == deps
+        assert revive(canonicalize({"t": (3, 4)})) == {"t": [3, 4]}

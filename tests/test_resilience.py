@@ -345,10 +345,13 @@ class TestStoreIntegrity:
         assert audit["quarantined"] == [keys[1]]
         assert len(store) == 3
         # A second audit of the now-clean store finds nothing.
-        assert store.verify() == {"checked": 3, "ok": 3, "quarantined": [],
-                                  "unchecksummed": 0}
+        assert store.verify() == {"checked": 3, "ok": 3, "quarantined": []}
 
     def test_verify_tolerates_pre_checksum_entries(self, tmp_path):
+        """A sidecar without a checksum cannot verify its payload, so the
+        audit quarantines the entry instead of serving it unverified.
+        (The name predates store format 5, when such an entry counted as
+        "unchecksummed" and was still served.)"""
         import json
         store = ResultStore(str(tmp_path))
         store.put("ef" * 32, "legacy")
@@ -358,11 +361,10 @@ class TestStoreIntegrity:
                   encoding="utf-8") as handle:
             json.dump(meta, handle)
         audit = store.verify()
-        # Disjoint buckets: an unverifiable legacy entry is counted once,
-        # as unchecksummed — never also as "ok" (it was not verified).
-        assert audit == {"checked": 1, "ok": 0, "quarantined": [],
-                         "unchecksummed": 1}
-        assert store.get("ef" * 32) == "legacy"   # served, just unverified
+        assert audit == {"checked": 1, "ok": 0, "quarantined": ["ef" * 32]}
+        with pytest.raises(KeyError):
+            store.get("ef" * 32)
+        assert len(store) == 0
 
     def test_contains_count_opt_out(self, tmp_path):
         store = ResultStore(str(tmp_path))

@@ -164,15 +164,34 @@ class TestProtocol:
             protocol.parse_address("no-port-here")
 
     def test_wire_payload_formats_and_degrades(self):
-        class Fancy:
-            def formatted(self):
-                return "TABLE"
+        """``value`` is the codec's JSON form, with no repr fallback:
+        outcomes arrive as tagged objects, an object outside the codec
+        is an error, and ``formatted`` stays a best-effort rendering."""
+        from repro.experiments.reporting import TableResult
+        from repro.metrics.attack_metrics import AttackOutcome
+        from repro.pipeline.hashing import revive
 
-        out = protocol.wire_payload(Fancy())
-        assert out["formatted"] == "TABLE"
-        assert isinstance(out["value"], str)      # repr fallback
-        plain = protocol.wire_payload({"a": 1})
-        assert plain["value"] == {"a": 1}
+        table = TableResult("t", "Title", [{"a": 1.5}])
+        out = protocol.wire_payload(table)
+        assert out["formatted"] == table.formatted()
+        assert out["value"]["__dataclass__"] == "TableResult"
+        assert revive(json.loads(json.dumps(out["value"]))) == table
+        outcome = AttackOutcome(0.5, 0.25, 0.125, 0.75, 0.5)
+        cell = protocol.wire_payload({"records": [{"outcome": outcome}]})
+        assert "formatted" not in cell
+        assert cell["value"]["records"][0]["outcome"]["accuracy"] == 0.25
+        assert revive(cell["value"])["records"][0]["outcome"] == outcome
+        assert protocol.wire_payload({"a": 1})["value"] == {"a": 1}
+        with mock.patch.object(TableResult, "formatted",
+                               side_effect=RuntimeError("rendering failed")):
+            degraded = protocol.wire_payload(table)
+        assert degraded == {"value": out["value"]}
+
+        class Opaque:
+            pass
+
+        with pytest.raises(TypeError):
+            protocol.wire_payload({"x": Opaque()})
 
     def test_live_roundtrip_over_socket(self, config, store_dir):
         with ServerThread(_server(config, store_dir)) as address:
@@ -242,7 +261,7 @@ class TestMalformedRequests:
             assert not answer["ok"] and "timeout" in answer["error"]
             # One worker runs submissions in order: had the refused task
             # been submitted, it would have run before this one.
-            assert Client(address).task("next", "serve:echo", {}, "")["ok"]
+            assert Client(address).task("next", "serve:echo", {}, {})["ok"]
         assert not os.path.exists(ledger)
 
 
@@ -531,11 +550,11 @@ class TestLifecycle:
         with ServerThread(_server(config, store_dir, jobs=1)) as address:
             client = Client(address)
             with pytest.raises(ServeError) as raised:
-                client.task("hung", "serve:slow", {"sleep": 60.0}, "",
+                client.task("hung", "serve:slow", {"sleep": 60.0}, {},
                             timeout=1.0)
             assert not raised.value.response["ok"]
             assert "TaskTimeoutError" in raised.value.response["error_types"]
-            answer = client.task("next", "serve:echo", {"x": "after"}, "")
+            answer = client.task("next", "serve:echo", {"x": "after"}, {})
             assert answer["ok"] and not answer["hit"]
             stats = client.stats()
         assert stats["jobs"]["timeouts"] == 1
@@ -555,7 +574,7 @@ class TestLifecycle:
         with ServerThread(server) as address:
             client = Client(address)
             with pytest.raises(ServeError) as raised:
-                client.task("t", "serve:echo", {"x": 1}, "", key="ab" * 32)
+                client.task("t", "serve:echo", {"x": 1}, {}, key="ab" * 32)
             assert client.ping()["ok"]
         error_types = raised.value.response["error_types"]
         assert "StoreUnavailableError" in error_types
