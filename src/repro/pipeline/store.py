@@ -37,6 +37,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import time
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
@@ -57,6 +58,20 @@ from .hashing import canonical_json, revive
 #: v5: payloads are canonical JSON instead of pickle, and every entry has
 #: a checksummed sidecar (an entry without one is quarantined).
 STORE_FORMAT_VERSION = 5
+
+
+_KEY = re.compile(r"[0-9a-f]{64}")
+
+
+def check_key(key: Any) -> str:
+    """``key`` if it is a store key (what
+    :func:`~.hashing.content_hash` returns: 64 lowercase hex digits);
+    ``ValueError`` otherwise, so no key can name a path or URL outside
+    its entry."""
+    if not isinstance(key, str) or not _KEY.fullmatch(key):
+        raise ValueError(f"store keys are 64 lowercase hex digits, got "
+                         f"{key!r}")
+    return key
 
 
 def _payload_checksum(blob: bytes) -> str:
@@ -185,7 +200,7 @@ class ResultStore(StoreBackend):
     # Paths
     # ------------------------------------------------------------------ #
     def _shard(self, key: str) -> str:
-        return os.path.join(self.root, key[:2])
+        return os.path.join(self.root, check_key(key)[:2])
 
     def payload_path(self, key: str) -> str:
         return os.path.join(self._shard(key), f"{key}.pkl")
@@ -249,11 +264,11 @@ class ResultStore(StoreBackend):
         first, so a reader never finds a payload without its checksum.
         """
         path = self.payload_path(key)
-        meta = {"key": key, "format_version": STORE_FORMAT_VERSION,
-                "created_at": time.time(),
-                "checksum": _payload_checksum(blob),
-                "payload_bytes": len(blob)}
-        meta.update(metadata or {})
+        meta = dict(metadata or {})     # the store's own fields win
+        meta.update({"key": key, "format_version": STORE_FORMAT_VERSION,
+                     "created_at": time.time(),
+                     "checksum": _payload_checksum(blob),
+                     "payload_bytes": len(blob)})
         atomic_write_bytes(self._meta_path(key),
                            json.dumps(meta, indent=2, default=str).encode("utf-8"))
         atomic_write_bytes(path, blob)
@@ -262,8 +277,9 @@ class ResultStore(StoreBackend):
 
     def _load_metadata(self, key: str) -> Optional[Dict[str, Any]]:
         """The sidecar, or ``None`` when it is missing or unreadable."""
+        path = self._meta_path(key)
         try:
-            with open(self._meta_path(key), "r", encoding="utf-8") as handle:
+            with open(path, "r", encoding="utf-8") as handle:
                 meta = json.load(handle)
         except (ValueError, OSError):
             return None
@@ -441,8 +457,8 @@ class ResultStore(StoreBackend):
             if shard == self.CORRUPT_DIR or not os.path.isdir(shard_path):
                 continue
             for name in sorted(os.listdir(shard_path)):
-                if name.endswith(".pkl"):
-                    yield name[:-len(".pkl")]
+                if name.endswith(".pkl") and _KEY.fullmatch(name[:-4]):
+                    yield name[:-4]
 
     def __len__(self) -> int:
         return sum(1 for _ in self.keys())
@@ -493,4 +509,4 @@ def open_store(spec: Any) -> StoreBackend:
 
 
 __all__ = ["ResultStore", "StoreBackend", "STORE_FORMAT_VERSION",
-           "open_store"]
+           "check_key", "open_store"]

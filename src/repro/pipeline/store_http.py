@@ -32,11 +32,18 @@ Integrity checking stays server-side where the bytes live: ``GET`` runs
 the same verify-or-quarantine path as a local read, and the client
 re-checks the transported bytes against the checksum header so a torn
 proxy cannot serve damage silently.
+
+The daemon trusts no request: a key that is not a store key (64 lowercase
+hex digits), a ``Content-Length`` that is missing, negative or larger than
+:data:`MAX_BODY_BYTES`, a body that ends early or stalls for
+``_StoreHandler.timeout`` seconds, or a malformed metadata header is
+answered ``400`` with a JSON ``error`` before the store is touched.
 """
 
 from __future__ import annotations
 
 import base64
+import functools
 import hashlib
 import json
 import os
@@ -47,11 +54,14 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from .resilience import TransientTaskError, corrupt_payload_file
-from .store import ResultStore, StoreBackend
+from .store import ResultStore, StoreBackend, check_key
 
 #: Metadata header: base64(JSON) keeps arbitrary text header-safe.
 META_HEADER = "X-Repro-Meta"
 CHECKSUM_HEADER = "X-Repro-Checksum"
+
+#: Largest ``PUT`` body accepted (cell payloads are a few KiB).
+MAX_BODY_BYTES = 64 * 1024 * 1024
 
 
 class StoreUnavailableError(TransientTaskError):
@@ -65,9 +75,26 @@ class StoreUnavailableError(TransientTaskError):
 # ---------------------------------------------------------------------- #
 # Server
 # ---------------------------------------------------------------------- #
+def _bad_request_is_400(handler: Any) -> Any:
+    """Answer a ``ValueError`` raised before the response (a malformed key,
+    length, metadata header or query) with ``400`` and close the
+    connection, whose body may be unread."""
+    @functools.wraps(handler)
+    def wrapped(self: "_StoreHandler") -> None:
+        try:
+            handler(self)
+        except ValueError as error:
+            self.close_connection = True
+            self._send_json(400, {"error": str(error)})
+    return wrapped
+
+
 class _StoreHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "repro-store/1"
+    #: Seconds a socket read may wait (``StreamRequestHandler`` applies
+    #: it), so a stalled client cannot hold a request open forever.
+    timeout = 30.0
 
     # The daemon is a cache, not an access log.
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
@@ -100,10 +127,34 @@ class _StoreHandler(BaseHTTPRequestHandler):
         return head, rest, parse_qs(parsed.query)
 
     def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
-        return self.rfile.read(length) if length else b""
+        """Exactly ``Content-Length`` bytes, or ``ValueError``."""
+        text = self.headers.get("Content-Length", "")
+        length = int(text) if text.strip().isdecimal() else -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            raise ValueError(f"Content-Length must be an integer in "
+                             f"[0, {MAX_BODY_BYTES}], got {text!r}")
+        try:
+            body = self.rfile.read(length)
+        except TimeoutError:
+            raise ValueError(f"request body stalled for "
+                             f"{self.timeout:.0f} s") from None
+        if len(body) != length:
+            raise ValueError(f"request body ended after {len(body)} of "
+                             f"{length} bytes")
+        return body
+
+    def _read_metadata(self) -> Dict[str, Any]:
+        header = self.headers.get(META_HEADER)
+        try:
+            metadata = json.loads(base64.b64decode(header)) if header else {}
+        except ValueError as error:
+            raise ValueError(f"malformed metadata header: {error}") from None
+        if not isinstance(metadata, dict):
+            raise ValueError("metadata header must encode a JSON object")
+        return metadata
 
     # -------------------------------------------------------------- #
+    @_bad_request_is_400
     def do_HEAD(self) -> None:  # noqa: N802
         head, key, _ = self._route()
         if head == "entry" and key:
@@ -114,6 +165,7 @@ class _StoreHandler(BaseHTTPRequestHandler):
         else:
             self._send_json(404, {"error": "unknown path"})
 
+    @_bad_request_is_400
     def do_GET(self) -> None:  # noqa: N802
         head, key, _ = self._route()
         if head == "entry" and key:
@@ -139,23 +191,18 @@ class _StoreHandler(BaseHTTPRequestHandler):
         else:
             self._send_json(404, {"error": "unknown path"})
 
+    @_bad_request_is_400
     def do_PUT(self) -> None:  # noqa: N802
         head, key, _ = self._route()
         if head != "entry" or not key:
             self._send_json(404, {"error": "unknown path"})
             return
+        metadata = self._read_metadata()
         blob = self._read_body()
-        metadata: Dict[str, Any] = {}
-        header = self.headers.get(META_HEADER)
-        if header:
-            try:
-                metadata = json.loads(base64.b64decode(header))
-            except (ValueError, json.JSONDecodeError):
-                self._send_json(400, {"error": "malformed metadata header"})
-                return
         self.store.put_bytes(key, blob, metadata=metadata)
         self._send_json(200, {"stored": key, "bytes": len(blob)})
 
+    @_bad_request_is_400
     def do_DELETE(self) -> None:  # noqa: N802
         head, key, _ = self._route()
         if head == "entry" and key:
@@ -163,6 +210,7 @@ class _StoreHandler(BaseHTTPRequestHandler):
         else:
             self._send_json(404, {"error": "unknown path"})
 
+    @_bad_request_is_400
     def do_POST(self) -> None:  # noqa: N802
         head, key, query = self._route()
         if head == "verify":
@@ -171,13 +219,8 @@ class _StoreHandler(BaseHTTPRequestHandler):
             def _int(name: str) -> Optional[int]:
                 values = query.get(name)
                 return int(values[0]) if values else None
-            try:
-                summary = self.store.gc(max_bytes=_int("max_bytes"),
-                                        max_entries=_int("max_entries"))
-            except ValueError as error:
-                self._send_json(400, {"error": str(error)})
-                return
-            self._send_json(200, summary)
+            self._send_json(200, self.store.gc(
+                max_bytes=_int("max_bytes"), max_entries=_int("max_entries")))
         elif head == "corrupt" and key:
             try:
                 corrupt_payload_file(self.store.payload_path(key))
@@ -304,7 +347,7 @@ class RemoteStore(StoreBackend):
 
     # -------------------------------------------------------------- #
     def contains(self, key: str, count: bool = True) -> bool:
-        status, _, _ = self._request("HEAD", f"/entry/{key}")
+        status, _, _ = self._request("HEAD", f"/entry/{check_key(key)}")
         present = status == 200
         if not present and count:
             self._session["misses"] += 1
@@ -313,7 +356,8 @@ class RemoteStore(StoreBackend):
     __contains__ = contains
 
     def get_bytes(self, key: str) -> bytes:
-        status, blob, headers = self._request("GET", f"/entry/{key}")
+        status, blob, headers = self._request("GET",
+                                              f"/entry/{check_key(key)}")
         if status != 200:
             self._session["misses"] += 1
             if b"quarantined" in blob:
@@ -332,8 +376,8 @@ class RemoteStore(StoreBackend):
             headers[META_HEADER] = base64.b64encode(
                 json.dumps(metadata, default=str).encode("utf-8")
             ).decode("ascii")
-        status, body, _ = self._request("PUT", f"/entry/{key}", body=blob,
-                                        headers=headers)
+        status, body, _ = self._request("PUT", f"/entry/{check_key(key)}",
+                                        body=blob, headers=headers)
         if status != 200:
             raise StoreUnavailableError(
                 f"store daemon {self.url} refused PUT {key}: "
@@ -342,11 +386,12 @@ class RemoteStore(StoreBackend):
         return f"{self.url}/entry/{key}"
 
     def metadata(self, key: str) -> Dict[str, Any]:
-        status, body, _ = self._request("GET", f"/meta/{key}")
+        status, body, _ = self._request("GET", f"/meta/{check_key(key)}")
         return self._json(body) if status == 200 else {}
 
     def discard(self, key: str) -> bool:
-        status, body, _ = self._request("DELETE", f"/entry/{key}")
+        status, body, _ = self._request("DELETE",
+                                        f"/entry/{check_key(key)}")
         return status == 200 and bool(self._json(body).get("removed"))
 
     def keys(self) -> Iterator[str]:
@@ -373,7 +418,7 @@ class RemoteStore(StoreBackend):
 
     def corrupt_entry(self, key: str) -> None:
         """Chaos hook: damage the stored payload bytes server-side."""
-        self._request("POST", f"/corrupt/{key}")
+        self._request("POST", f"/corrupt/{check_key(key)}")
 
     def stats(self) -> Dict[str, Any]:
         status, body, _ = self._request("GET", "/stats")

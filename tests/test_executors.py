@@ -14,12 +14,14 @@ Executors are registered at import time so fork-started worker pools —
 the local backend's and every daemon's — inherit them.
 """
 
+import base64
 import json
 import os
 import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from urllib.parse import urlparse
 
 import pytest
 
@@ -440,6 +442,149 @@ class TestRemoteStore:
         store = ResultStore(str(tmp_path / "s2"))
         assert open_store(store) is store
         assert isinstance(store, StoreBackend)
+
+
+def _http_exchange(url, request, close_write=True):
+    """Send raw bytes to a store daemon; ``(status, JSON body)`` of the
+    answer, read until the daemon closes the connection."""
+    parsed = urlparse(url)
+    with socket.create_connection((parsed.hostname, parsed.port),
+                                  timeout=30.0) as sock:
+        sock.sendall(request)
+        if close_write:
+            sock.shutdown(socket.SHUT_WR)
+        response = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            response += chunk
+    head, _, body = response.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body or b"{}")
+
+
+def _put_request(key, body, length=None, meta=None):
+    lines = [f"PUT /entry/{key} HTTP/1.1", "Host: store"]
+    if length is not False:
+        lines.append(f"Content-Length: {len(body) if length is None else length}")
+    if meta is not None:
+        lines.append(f"X-Repro-Meta: {meta}")
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("ascii") + body
+
+
+class TestStoreDaemonRequests:
+    """The HTTP store daemon answers every malformed request with ``400``
+    and a JSON error, and never writes outside its root."""
+
+    KEY = "5a" * 32
+
+    @pytest.fixture()
+    def daemon(self, tmp_path):
+        store = ResultStore(str(tmp_path / "outside" / "store"))
+        with StoreServerThread(store) as url:
+            yield store, url
+
+    @staticmethod
+    def _tree(path):
+        return sorted(os.path.relpath(os.path.join(root, name), path)
+                      for root, dirs, files in os.walk(path)
+                      for name in dirs + files)
+
+    def test_escaping_key_is_refused_and_nothing_lands_outside(
+            self, daemon, tmp_path):
+        store, url = daemon
+        outside = tmp_path / "outside"
+        before = self._tree(str(outside))
+        status, answer = _http_exchange(url, _put_request("..escaped", b"{}"))
+        assert status == 400 and "64 lowercase hex" in answer["error"]
+        for method, path in (("GET", "/entry/..escaped"),
+                             ("GET", "/meta/..escaped"),
+                             ("DELETE", "/entry/..escaped"),
+                             ("POST", "/corrupt/..escaped"),
+                             ("HEAD", "/entry/" + "A" * 64)):
+            status, _ = _http_exchange(
+                url, f"{method} {path} HTTP/1.1\r\nHost: s\r\n\r\n".encode())
+            assert status == 400, (method, path)
+        assert self._tree(str(outside)) == before
+        assert not list(tmp_path.rglob("*escaped*"))
+
+    @pytest.mark.parametrize("length, body", [
+        (100, b'{"short": true}'),      # body ends before Content-Length
+        (-1, b"{}"),
+        ("abc", b"{}"),
+        (False, b"{}"),                 # no Content-Length at all
+        (1 << 40, b"{}"),               # over MAX_BODY_BYTES
+    ])
+    def test_bad_length_is_refused_before_the_store(self, daemon, capfd,
+                                                    length, body):
+        store, url = daemon
+        status, answer = _http_exchange(
+            url, _put_request(self.KEY, body, length=length))
+        assert status == 400 and answer["error"]
+        assert not store.contains(self.KEY, count=False)
+        assert list(store.keys()) == []
+        assert "Traceback" not in capfd.readouterr().err
+
+    def test_stalled_body_is_answered_after_the_read_timeout(
+            self, daemon, monkeypatch):
+        from repro.pipeline.store_http import _StoreHandler
+        monkeypatch.setattr(_StoreHandler, "timeout", 0.5)
+        store, url = daemon
+        started = time.monotonic()
+        status, answer = _http_exchange(
+            url, _put_request(self.KEY, b'{"x"', length=100),
+            close_write=False)
+        assert status == 400 and "stalled" in answer["error"]
+        assert time.monotonic() - started < 10.0
+        assert not store.contains(self.KEY, count=False)
+
+    @pytest.mark.parametrize("meta", [
+        "not base64 json!",
+        base64.b64encode(b"[1, 2]").decode("ascii"),
+    ])
+    def test_malformed_metadata_header_is_refused(self, daemon, meta):
+        store, url = daemon
+        status, answer = _http_exchange(
+            url, _put_request(self.KEY, b"{}", meta=meta))
+        assert status == 400 and "metadata header" in answer["error"]
+        assert not store.contains(self.KEY, count=False)
+
+    def test_caller_metadata_cannot_override_the_checksum(self, daemon):
+        store, url = daemon
+        meta = base64.b64encode(json.dumps(
+            {"checksum": None, "task_id": "t"}).encode()).decode("ascii")
+        status, _ = _http_exchange(
+            url, _put_request(self.KEY, b'{"x":1}', meta=meta))
+        assert status == 200
+        stored = store.metadata(self.KEY)
+        assert stored["checksum"].startswith("sha256:")
+        assert stored["task_id"] == "t"
+        assert store.get(self.KEY) == {"x": 1}
+        assert store.verify() == {"checked": 1, "ok": 1, "quarantined": []}
+
+    def test_daemon_keeps_serving_after_bad_requests(self, daemon):
+        store, url = daemon
+        _http_exchange(url, _put_request("..escaped", b"{}"))
+        _http_exchange(url, _put_request(self.KEY, b"{}", length="abc"))
+        remote = RemoteStore(url)
+        remote.put(self.KEY, {"after": True})
+        assert remote.get(self.KEY) == {"after": True}
+
+    def test_keys_are_checked_where_paths_are_built(self, tmp_path):
+        store = ResultStore(str(tmp_path / "store"))
+        for bad in ("..escaped", "AB" * 32, "ab" * 31, "ab" * 32 + "/x", 5):
+            with pytest.raises(ValueError):
+                store.put(bad, {"x": 1})
+            with pytest.raises(ValueError):
+                store.get(bad)
+            with pytest.raises(ValueError):
+                RemoteStore("http://127.0.0.1:1").get(bad)   # no request sent
+        # A stray file in a shard is not an entry.
+        store.put("cd" * 32, {"x": 1})
+        with open(os.path.join(store.root, "cd", "stray.pkl"), "wb") as stray:
+            stray.write(b"{}")
+        assert list(store.keys()) == ["cd" * 32]
+        assert store.verify()["checked"] == 1
 
 
 # ---------------------------------------------------------------------- #
