@@ -66,6 +66,10 @@ PROTOCOL_VERSION = 1
 #: a few KiB; attack-cell payloads are compact by design).
 MAX_LINE_BYTES = 32 * 1024 * 1024
 
+#: Seconds a client has to send its whole request line; a stalled one is
+#: answered ``ok: false`` instead of holding its connection open.
+FRAME_TIMEOUT = 30.0
+
 #: Operations a server understands (mirrored by the client methods).
 OPERATIONS = ("ping", "submit", "status", "result", "cancel", "watch",
               "task", "stats", "shutdown")
@@ -135,6 +139,7 @@ def parse_address(text: str) -> "tuple[Optional[str], Optional[int], Optional[st
 
 
 __all__ = [
+    "FRAME_TIMEOUT",
     "MAX_LINE_BYTES",
     "OPERATIONS",
     "PROTOCOL_VERSION",

@@ -82,13 +82,21 @@ def _positive(message: Dict[str, Any], name: str,
     return value
 
 
-async def _discard_frame(reader: asyncio.StreamReader) -> None:
-    """Read past an oversized frame: closing a socket on unread input
-    resets the connection, which can destroy the error answer."""
-    while True:
-        chunk = await reader.read(1 << 16)
-        if not chunk or b"\n" in chunk:
-            return
+async def _read_frame(reader: asyncio.StreamReader) -> bytes:
+    """One request line (EOF ends it too).  An oversized frame is read
+    past before it is refused: closing a socket on unread input resets
+    the connection, which can destroy the error answer."""
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as error:
+        return error.partial
+    except asyncio.LimitOverrunError:
+        while True:
+            chunk = await reader.read(1 << 16)
+            if not chunk or b"\n" in chunk:
+                raise protocol.ProtocolError(
+                    f"request frame exceeds {protocol.MAX_LINE_BYTES} "
+                    f"bytes") from None
 
 
 class AttackServer:
@@ -153,6 +161,7 @@ class AttackServer:
         self._jobs: Dict[str, Job] = {}
         self._job_tasks: Dict[str, asyncio.Task] = {}
         self._connections: "set[asyncio.Task]" = set()
+        self._reading: "set[asyncio.Task]" = set()    # no request yet
         self._barriers: Dict[Any, asyncio.Event] = {}
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.AbstractServer] = None
@@ -246,11 +255,12 @@ class AttackServer:
                                  return_exceptions=True)
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         # Let in-flight connections (synchronous ``task`` ops, watches)
         # write their responses before the loop dies under them —
         # otherwise a remote scheduler is left waiting on an open socket
-        # until its own timeout.  New connections are already refused.
+        # until its own timeout.  New connections are already refused,
+        # and one still reading its request has asked for nothing yet: it
+        # is closed, not awaited.
         me = asyncio.current_task()
         while True:
             # A connection accepted just before the listener closed may
@@ -258,11 +268,15 @@ class AttackServer:
             # registered in ``_connections``): yield once so late
             # registrations land, then re-scan until the set drains.
             await asyncio.sleep(0)
+            for task in self._reading:
+                task.cancel()
             remaining = [task for task in self._connections
                          if task is not me and not task.done()]
             if not remaining:
                 break
             await asyncio.gather(*remaining, return_exceptions=True)
+        if self._server is not None:
+            await self._server.wait_closed()
         try:
             self._events.put(None)      # pump sentinel
         except Exception:  # noqa: BLE001
@@ -659,33 +673,31 @@ class AttackServer:
     async def _handle_client(self, reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
         connection = asyncio.current_task()
-        if connection is not None:
-            self._connections.add(connection)
+        self._connections.add(connection)
+        self._reading.add(connection)
         try:
             try:
-                line = await reader.readuntil(b"\n")
-            except asyncio.IncompleteReadError as error:
-                line = error.partial            # EOF ends the frame too
-            except asyncio.LimitOverrunError:
-                await _discard_frame(reader)
-                writer.write(protocol.encode(protocol.error_response(
-                    f"request frame exceeds {protocol.MAX_LINE_BYTES} "
-                    f"bytes")))
-                return
-            if not line.strip():
-                return
-            try:
+                line = await asyncio.wait_for(_read_frame(reader),
+                                              protocol.FRAME_TIMEOUT)
+                if not line.strip():
+                    return
                 message = protocol.decode(line)
+            except asyncio.TimeoutError:
+                writer.write(protocol.encode(protocol.error_response(
+                    f"request frame not completed within "
+                    f"{protocol.FRAME_TIMEOUT:g} s")))
+                return
             except protocol.ProtocolError as error:
                 writer.write(protocol.encode(
                     protocol.error_response(str(error))))
                 return
+            finally:
+                self._reading.discard(connection)
             await self._dispatch(message, writer)
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
-            if connection is not None:
-                self._connections.discard(connection)
+            self._connections.discard(connection)
             try:
                 await writer.drain()
                 writer.close()

@@ -225,6 +225,18 @@ class TestMalformedRequests:
             assert not answer["ok"] and "4096" in answer["error"]
             assert Client(address).ping()["ok"]
 
+    def test_stalled_frame_is_answered_at_the_deadline(
+            self, config, store_dir, monkeypatch):
+        monkeypatch.setattr(protocol, "FRAME_TIMEOUT", 0.5)
+        with ServerThread(_server(config, store_dir)) as address:
+            with socket.create_connection(address, timeout=30.0) as sock:
+                sock.sendall(b'{"op": "pi')        # ...and goes quiet
+                with sock.makefile("rb") as stream:
+                    answer = json.loads(stream.readline())
+            assert not answer["ok"]
+            assert "not completed within 0.5 s" in answer["error"]
+            assert Client(address).ping()["ok"]
+
     @pytest.mark.parametrize("field, value, named", [
         ("attempt", "x", "'attempt'"),
         ("params", "oops", "'params'"),
@@ -598,6 +610,21 @@ class TestLifecycle:
             asyncio.run(server._dispatch({"op": "watch", "id": "j"}, writer))
         writer.write.assert_not_called()
         assert not [r for r in caplog.records if r.levelname == "ERROR"]
+
+    def test_stalled_client_does_not_block_stop(self, config, store_dir):
+        """A connection that has not finished sending its request has
+        asked for nothing: ``stop()`` closes it instead of waiting out
+        the frame deadline."""
+        runner = ServerThread(_server(config, store_dir))
+        address = runner.start()
+        with socket.create_connection(address, timeout=30.0) as sock:
+            sock.sendall(b'{"op": "pi')
+            assert Client(address).ping()["ok"]     # the handler is waiting
+            started = time.monotonic()
+            runner.stop(timeout=5.0)
+            assert time.monotonic() - started < 2.0
+            assert not runner._thread.is_alive()
+            assert sock.recv(1024) == b""           # closed, no answer
 
     def test_shutdown_op_stops_the_server(self, config, store_dir):
         runner = ServerThread(_server(config, store_dir))
