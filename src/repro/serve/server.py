@@ -448,12 +448,18 @@ class AttackServer:
                         self.retry.task_timeout, serve_run_task, job.key,
                         spec.label, spec.kind, dict(spec.params),
                         job.attempts, barrier=job.key)
-                if ok:
-                    if spec.cacheable:
+                if ok and spec.cacheable:
+                    # The result write belongs to the attempt: its errors
+                    # (a shared store that is down) retry like a worker's.
+                    try:
                         await self._store_result(
                             job.key, spec.label, spec.kind, spec.params,
                             payload_or_error, elapsed, stats)
-                    else:
+                    except Exception as error:  # noqa: BLE001
+                        ok, error_types = False, error_type_names(error)
+                        payload_or_error = f"result write failed: {error!r}"
+                if ok:
+                    if not spec.cacheable:
                         job.payload = payload_or_error
                     job.elapsed = elapsed
                     self._finish(job, DONE, "job_done", elapsed=elapsed,

@@ -593,6 +593,40 @@ class TestLifecycle:
         assert "TransientTaskError" in error_types
         assert classify_error(error_types) == TRANSIENT
 
+    @pytest.mark.parametrize("failures, state, attempts", [
+        (1, DONE, 2),           # a transient write failure retries
+        (99, "failed", 3),      # ...until the attempt budget runs out
+    ])
+    def test_a_failed_result_write_fails_the_attempt(
+            self, config, store_dir, monkeypatch, failures, state, attempts):
+        server = _server(config, store_dir)
+        put = server.store.put
+        calls = []
+
+        def flaky_put(*args, **kwargs):
+            calls.append(args[0])
+            if len(calls) <= failures:
+                raise StoreUnavailableError("store daemon unreachable")
+            return put(*args, **kwargs)
+
+        monkeypatch.setattr(server.store, "put", flaky_put)
+        with ServerThread(server) as address:
+            client = Client(address)
+            ack = client.submit("serve:echo", {"x": "written"})
+            try:
+                result = client.result(ack["job_id"], timeout=30.0)
+            except ServeError as error:
+                result = error.response
+            status = client.status(ack["job_id"])
+        assert status["state"] == state and status["attempts"] == attempts
+        assert len(calls) == attempts
+        if state == DONE:
+            assert result["result"]["value"]["echo"] == "written"
+        else:
+            assert not result["ok"]
+            assert "result write failed" in result["error"]
+            assert "StoreUnavailableError" in result["error"]
+
     def test_a_peer_that_hung_up_gets_no_answer(self, config, store_dir,
                                                 monkeypatch, caplog):
         """A connection error while serving a request (a watcher that
