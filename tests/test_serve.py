@@ -77,6 +77,14 @@ def _serve_flaky(config, params, deps):
     return {"recovered": True}
 
 
+@register_executor("serve:deps_back")
+def _serve_deps_back(config, params, deps):
+    """Returns its (revived) dependencies, so the test sees their types."""
+    assert all(type(dep["outcome"]).__name__ == "AttackOutcome"
+               for dep in deps.values())
+    return dict(deps)
+
+
 @register_executor("serve:boom")
 def _serve_boom(config, params, deps):
     raise ValueError("deterministic failure")
@@ -213,6 +221,16 @@ def _raw_exchange(address, frame):
             return [json.loads(line) for line in stream]
 
 
+def _first_answer(address, frame):
+    """Send raw bytes; the first response line.  (Reading to EOF would
+    wait on a pool worker forked while the connection was open, which
+    holds a copy of its socket.)"""
+    with socket.create_connection(address, timeout=30.0) as sock:
+        sock.sendall(frame)
+        with sock.makefile("rb") as stream:
+            return json.loads(stream.readline())
+
+
 class TestMalformedRequests:
     """Each bad request gets one ``ok: false`` line naming what is wrong,
     and the daemon keeps serving."""
@@ -229,10 +247,7 @@ class TestMalformedRequests:
             self, config, store_dir, monkeypatch):
         monkeypatch.setattr(protocol, "FRAME_TIMEOUT", 0.5)
         with ServerThread(_server(config, store_dir)) as address:
-            with socket.create_connection(address, timeout=30.0) as sock:
-                sock.sendall(b'{"op": "pi')        # ...and goes quiet
-                with sock.makefile("rb") as stream:
-                    answer = json.loads(stream.readline())
+            answer = _first_answer(address, b'{"op": "pi')    # ...then quiet
             assert not answer["ok"]
             assert "not completed within 0.5 s" in answer["error"]
             assert Client(address).ping()["ok"]
@@ -275,6 +290,65 @@ class TestMalformedRequests:
             # been submitted, it would have run before this one.
             assert Client(address).task("next", "serve:echo", {}, {})["ok"]
         assert not os.path.exists(ledger)
+
+
+class _Touch:
+    """Unpickling this creates ``path``: a stand-in for arbitrary code."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return (open, (self.path, "w"))
+
+
+class TestTaskPayloads:
+    """``task`` deps are the payload codec's JSON: a type outside its
+    allow-list is refused before anything reaches the pool, and bytes
+    that used to be unpickled are now inert data."""
+
+    def test_a_type_outside_the_allow_list_never_reaches_the_pool(
+            self, config, store_dir, tmp_path):
+        ledger = str(tmp_path / "ledger.txt")
+        with ServerThread(_server(config, store_dir, jobs=1)) as address:
+            frame = protocol.encode({
+                "op": "task", "task_id": "t", "kind": "serve:count",
+                "params": {"ledger": ledger},
+                "deps": {"a": {"__dataclass__": "Popen",
+                               "args": ["touch", ledger]}}})
+            [answer] = _raw_exchange(address, frame)
+            assert not answer["ok"] and "allow-list" in answer["error"]
+            assert answer["error_types"] == ["TaskPayloadError"]
+            assert Client(address).task("next", "serve:echo", {}, {})["ok"]
+        assert not os.path.exists(ledger)
+
+    def test_pickled_deps_run_no_code(self, config, store_dir, tmp_path):
+        """The old wire's exploit: a ``task`` op with no salt and an
+        unknown kind whose ``deps`` is a base64 pickle that creates a
+        file when loaded."""
+        import base64
+        import pickle
+        witness = tmp_path / "owned"
+        blob = base64.b64encode(pickle.dumps(_Touch(str(witness)))).decode()
+        with ServerThread(_server(config, store_dir)) as address:
+            for deps in (blob, {"a": blob}):
+                frame = protocol.encode({"op": "task", "task_id": "t",
+                                         "kind": "no-such-kind",
+                                         "deps": deps})
+                assert not _first_answer(address, frame)["ok"]
+            assert Client(address).ping()["ok"]
+        assert not witness.exists()
+
+    def test_deps_and_payload_cross_as_tagged_json(self, config, store_dir):
+        from repro.metrics.attack_metrics import AttackOutcome
+        from repro.pipeline.hashing import revive
+        outcome = AttackOutcome(0.5, 0.25, 0.125, 0.75, 0.5)
+        with ServerThread(_server(config, store_dir)) as address:
+            answer = Client(address).task(
+                "t", "serve:deps_back", {}, {"cell": {"outcome": outcome}})
+        sent = answer["payload"]["cell"]["outcome"]
+        assert sent["__dataclass__"] == "AttackOutcome"
+        assert revive(answer["payload"]) == {"cell": {"outcome": outcome}}
 
 
 # ---------------------------------------------------------------------- #
