@@ -5,6 +5,9 @@
 request (``watch`` holds its connection open for the stream).  It is the
 access path used by the test suite, ``examples/serve_client.py`` and
 ``benchmarks/bench_serve.py``; anything it can do, ``nc`` can do too.
+Payloads come back in the codec's JSON form (dataclasses as objects
+tagged with their class name); :func:`repro.pipeline.hashing.revive`
+rebuilds them.
 
 Typical session::
 

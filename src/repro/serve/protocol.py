@@ -5,7 +5,10 @@ line, the server answers with one JSON object per line — exactly one line
 for every operation except ``watch``, which streams events (one per line)
 and terminates with a ``{"done": true, ...}`` line.  Requests and
 responses are UTF-8; the framing is trivially inspectable with ``nc`` and
-stream-parseable with any JSONL tooling.
+stream-parseable with any JSONL tooling.  A request line longer than
+:data:`MAX_LINE_BYTES`, or not completed within :data:`FRAME_TIMEOUT`
+seconds, is answered ``ok: false``.  Payloads travel as the codec's JSON
+(:mod:`repro.pipeline.hashing`), never as pickle.
 
 Operations
 ----------

@@ -25,7 +25,7 @@ from repro.experiments.reporting import TableResult
 from repro.metrics.attack_metrics import AttackOutcome
 from repro.metrics.summary import BestAverageWorst, CaseSummary
 from repro.pipeline import RemoteStore, ResultStore, merge_graphs, run_graph
-from repro.pipeline.hashing import canonical_json, canonicalize, revive
+from repro.pipeline.hashing import canonical_json, revive
 from repro.pipeline.store_http import StoreServerThread
 from repro.visualization.figures import FigureArtifacts
 
@@ -118,13 +118,6 @@ def test_every_tiny_task_output_round_trips(tmp_path):
 def test_revive_refuses_tags_outside_the_allow_list(value):
     with pytest.raises(ValueError):
         revive(value)
-
-
-def test_canonicalize_tags_dataclasses_by_class_name():
-    outcome = AttackOutcome(1.0, 0.5, 0.25, 0.75, 0.5)
-    plain = canonicalize({"outcome": outcome})
-    assert plain["outcome"]["__dataclass__"] == "AttackOutcome"
-    assert plain["outcome"]["accuracy"] == 0.5
 
 
 def test_result_store_quarantines_a_foreign_type(tmp_path):
