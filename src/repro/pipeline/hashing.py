@@ -6,8 +6,8 @@ scale, seeds, and the fingerprints of its dependencies.  Two invocations that
 describe the same computation therefore share one store entry, regardless of
 dictionary ordering, tuple-vs-list spelling or numpy scalar types.
 
-Canonical JSON is also the one format of task payloads that leave a host
-process (store entries, serve ``task``/``result`` ops): :func:`revive`
+Canonical JSON is also the one format task payloads take in the result
+store and on the serve wire (``task``/``result`` ops): :func:`revive`
 rebuilds their tagged dataclasses from an allow-list and refuses any other.
 """
 

@@ -123,8 +123,9 @@ class StoreBackend:
                               metadata=metadata)
 
     def _quarantine(self, key: str, reason: str) -> None:
-        """Set a corrupt entry aside (a remote store's daemon does that
-        on its own reads)."""
+        """Set a corrupt entry aside.  A remote client cannot: its daemon
+        quarantines what fails the checksum, and a recompute's ``put``
+        replaces a payload that does not decode."""
 
     def get_bytes(self, key: str) -> bytes:
         raise NotImplementedError
