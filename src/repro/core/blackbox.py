@@ -35,7 +35,6 @@ and the final report evaluation are bookkeeping, not attacker queries.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -215,24 +214,10 @@ class _BlackBoxAttack:
                  for offset in range(0, len(clouds), self.max_eval_rows)])
         coords = np.stack([c for c, _ in clouds])
         colors = np.stack([c for _, c in clouds])
-        program = None
-        if plan_key is not None and self._plans is not None:
-            program = self._plans.program(
-                plan_key + (coords.shape,),
-                lambda: {"coords": Tensor(coords), "colors": Tensor(colors)})
-            program.feed(coords=coords, colors=colors)
-            replayed = program.replay()
-            if replayed is not None:
-                return replayed["logits"]
-        with (program.capture() if program is not None else nullcontext(False)):
-            if program is not None:
-                logits = self.model(program.tensor("coords"),
-                                    program.tensor("colors"))
-            else:
-                logits = self.model(Tensor(coords), Tensor(colors))
-        if program is not None:
-            program.finalize({"logits": logits})
-        return np.asarray(logits.data)
+        if plan_key is None or self._plans is None:
+            return self.model(Tensor(coords), Tensor(colors)).data
+        return self._plans.run(plan_key + (coords.shape,), self.model,
+                               coords=coords, colors=colors)
 
     def _replayable(self, states: Sequence[_SceneState]) -> bool:
         """Whether stacked forwards may be compiled for these scenes.

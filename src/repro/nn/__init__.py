@@ -15,10 +15,8 @@ from .compile import (
     CompiledPlan,
     PlanCache,
     PlanMismatch,
-    StepProgram,
     compile_plan,
     plan_cache,
-    set_profile_sink,
     use_plan_cache,
 )
 from .functional import (
@@ -82,11 +80,9 @@ __all__ = [
     "CompiledPlan",
     "PlanCache",
     "PlanMismatch",
-    "StepProgram",
     "compile_plan",
     "plan_cache",
     "use_plan_cache",
-    "set_profile_sink",
     "Module",
     "Parameter",
     "Linear",

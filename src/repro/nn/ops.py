@@ -2,8 +2,8 @@
 
 Every differentiable operation in :mod:`repro.nn` is declared once here as an
 :class:`OpDef`: a forward kernel, a vector-Jacobian product, and the metadata
-the compiler needs (fusion tag, view/aliasing behaviour, an optional
-``out=``-capable forward for arena buffer reuse).  The eager path
+the compiler needs (view/aliasing behaviour, an optional ``out=``-capable
+forward for arena buffer reuse).  The eager path
 (:meth:`repro.nn.tensor.Tensor` methods) and the forward capture/replay path
 (:mod:`repro.nn.graph` / :mod:`repro.nn.compile`) both execute these exact
 kernels, which is what makes compiled-plan replay bit-for-bit identical to
@@ -79,17 +79,13 @@ class OpDef:
     Attributes
     ----------
     name:
-        Registry key; also the profiler span label.
+        Registry key; also the op's row label in the profiler.
     forward / vjp:
         The kernels (see module docstring for the VJP convention).
     differentiable:
         ``False`` marks data-dependent-constant ops (e.g. the log-softmax shift):
         they are recorded in captured graphs so replay recomputes them, but no
         gradient ever flows through them.
-    fuse:
-        Fusion tag (``"ew"``, ``"matmul"``, ``"reduce"``, ``"gather"``,
-        ``"shape"`` or ``None``) used by the plan compiler to group hot chains
-        (normalize→matmul→bn→relu, gather→reduce) into fused steps.
     returns_view:
         ``True`` when the forward output may alias an input's memory
         (reshape/transpose/broadcast-style ops).  The compiler's arena
@@ -100,17 +96,16 @@ class OpDef:
         ``out=`` is guaranteed bitwise-identical to fresh allocation.
     """
 
-    __slots__ = ("name", "forward", "vjp", "differentiable", "fuse",
-                 "returns_view", "forward_out")
+    __slots__ = ("name", "forward", "vjp", "differentiable", "returns_view",
+                 "forward_out")
 
     def __init__(self, name: str, forward: Forward, vjp: Optional[Vjp],
-                 *, differentiable: bool = True, fuse: Optional[str] = None,
-                 returns_view: bool = False, forward_out=None) -> None:
+                 *, differentiable: bool = True, returns_view: bool = False,
+                 forward_out=None) -> None:
         self.name = name
         self.forward = forward
         self.vjp = vjp
         self.differentiable = differentiable
-        self.fuse = fuse
         self.returns_view = returns_view
         self.forward_out = forward_out
 
@@ -148,7 +143,7 @@ def _add_vjp(grad, out, inputs, params, needs):
     )
 
 
-register("add", _add_fwd, _add_vjp, fuse="ew", forward_out=_add_out)
+register("add", _add_fwd, _add_vjp, forward_out=_add_out)
 
 
 def _neg_fwd(inputs, params):
@@ -163,7 +158,7 @@ def _neg_vjp(grad, out, inputs, params, needs):
     return (-grad,)
 
 
-register("neg", _neg_fwd, _neg_vjp, fuse="ew", forward_out=_neg_out)
+register("neg", _neg_fwd, _neg_vjp, forward_out=_neg_out)
 
 
 def _mul_fwd(inputs, params):
@@ -182,7 +177,7 @@ def _mul_vjp(grad, out, inputs, params, needs):
     )
 
 
-register("mul", _mul_fwd, _mul_vjp, fuse="ew", forward_out=_mul_out)
+register("mul", _mul_fwd, _mul_vjp, forward_out=_mul_out)
 
 
 def _div_fwd(inputs, params):
@@ -201,7 +196,7 @@ def _div_vjp(grad, out, inputs, params, needs):
     )
 
 
-register("div", _div_fwd, _div_vjp, fuse="ew", forward_out=_div_out)
+register("div", _div_fwd, _div_vjp, forward_out=_div_out)
 
 
 def _pow_fwd(inputs, params):
@@ -213,7 +208,7 @@ def _pow_vjp(grad, out, inputs, params, needs):
     return (grad * exponent * inputs[0] ** (exponent - 1),)
 
 
-register("pow", _pow_fwd, _pow_vjp, fuse="ew")
+register("pow", _pow_fwd, _pow_vjp)
 
 
 def _matmul_fwd(inputs, params):
@@ -230,7 +225,7 @@ def _matmul_vjp(grad, out, inputs, params, needs):
     return (grad_a, grad_b)
 
 
-register("matmul", _matmul_fwd, _matmul_vjp, fuse="matmul")
+register("matmul", _matmul_fwd, _matmul_vjp)
 
 
 # ---------------------------------------------------------------------- #
@@ -248,7 +243,7 @@ def _exp_vjp(grad, out, inputs, params, needs):
     return (grad * out,)
 
 
-register("exp", _exp_fwd, _exp_vjp, fuse="ew", forward_out=_exp_out)
+register("exp", _exp_fwd, _exp_vjp, forward_out=_exp_out)
 
 
 def _log_fwd(inputs, params):
@@ -263,7 +258,7 @@ def _log_vjp(grad, out, inputs, params, needs):
     return (grad / inputs[0],)
 
 
-register("log", _log_fwd, _log_vjp, fuse="ew", forward_out=_log_out)
+register("log", _log_fwd, _log_vjp, forward_out=_log_out)
 
 
 def _sqrt_fwd(inputs, params):
@@ -284,7 +279,7 @@ def _sqrt_vjp(grad, out, inputs, params, needs):
     return (grad * 0.5 / np.maximum(out, floor),)
 
 
-register("sqrt", _sqrt_fwd, _sqrt_vjp, fuse="ew", forward_out=_sqrt_out)
+register("sqrt", _sqrt_fwd, _sqrt_vjp, forward_out=_sqrt_out)
 
 
 def _tanh_fwd(inputs, params):
@@ -299,7 +294,7 @@ def _tanh_vjp(grad, out, inputs, params, needs):
     return (grad * (1.0 - out ** 2),)
 
 
-register("tanh", _tanh_fwd, _tanh_vjp, fuse="ew", forward_out=_tanh_out)
+register("tanh", _tanh_fwd, _tanh_vjp, forward_out=_tanh_out)
 
 
 def _sigmoid_fwd(inputs, params):
@@ -310,7 +305,7 @@ def _sigmoid_vjp(grad, out, inputs, params, needs):
     return (grad * out * (1.0 - out),)
 
 
-register("sigmoid", _sigmoid_fwd, _sigmoid_vjp, fuse="ew")
+register("sigmoid", _sigmoid_fwd, _sigmoid_vjp)
 
 
 def _relu_fwd(inputs, params):
@@ -322,7 +317,7 @@ def _relu_vjp(grad, out, inputs, params, needs):
     return (grad * (inputs[0] > 0),)
 
 
-register("relu", _relu_fwd, _relu_vjp, fuse="ew")
+register("relu", _relu_fwd, _relu_vjp)
 
 
 def _leaky_relu_fwd(inputs, params):
@@ -335,7 +330,7 @@ def _leaky_relu_vjp(grad, out, inputs, params, needs):
     return (grad * np.where(x > 0, 1.0, params["negative_slope"]),)
 
 
-register("leaky_relu", _leaky_relu_fwd, _leaky_relu_vjp, fuse="ew")
+register("leaky_relu", _leaky_relu_fwd, _leaky_relu_vjp)
 
 
 def _abs_fwd(inputs, params):
@@ -350,7 +345,7 @@ def _abs_vjp(grad, out, inputs, params, needs):
     return (grad * np.sign(inputs[0]),)
 
 
-register("abs", _abs_fwd, _abs_vjp, fuse="ew", forward_out=_abs_out)
+register("abs", _abs_fwd, _abs_vjp, forward_out=_abs_out)
 
 
 def _clip_fwd(inputs, params):
@@ -363,7 +358,7 @@ def _clip_vjp(grad, out, inputs, params, needs):
     return (grad * mask,)
 
 
-register("clip", _clip_fwd, _clip_vjp, fuse="ew")
+register("clip", _clip_fwd, _clip_vjp)
 
 
 # ---------------------------------------------------------------------- #
@@ -389,7 +384,7 @@ def _sum_vjp(grad, out, inputs, params, needs):
     return (np.broadcast_to(g, x.shape),)
 
 
-register("sum", _sum_fwd, _sum_vjp, fuse="reduce")
+register("sum", _sum_fwd, _sum_vjp)
 
 
 def _max_fwd(inputs, params):
@@ -424,7 +419,7 @@ def _max_vjp(grad, out, inputs, params, needs):
     return (mask * g / counts,)
 
 
-register("max", _max_fwd, _max_vjp, fuse="reduce")
+register("max", _max_fwd, _max_vjp)
 
 
 def _detached_max_fwd(inputs, params):
@@ -435,8 +430,7 @@ def _detached_max_fwd(inputs, params):
 # constant.  Declaring it as a recorded, gradient-free op (instead of a bare
 # ``Tensor(x.data.max(...))``) is what keeps captured plans valid when the
 # logits change between steps — replay recomputes the shift.
-register("detached_max", _detached_max_fwd, None,
-         differentiable=False, fuse="reduce")
+register("detached_max", _detached_max_fwd, None, differentiable=False)
 
 
 # ---------------------------------------------------------------------- #
@@ -450,7 +444,7 @@ def _reshape_vjp(grad, out, inputs, params, needs):
     return (grad.reshape(inputs[0].shape),)
 
 
-register("reshape", _reshape_fwd, _reshape_vjp, fuse="shape", returns_view=True)
+register("reshape", _reshape_fwd, _reshape_vjp, returns_view=True)
 
 
 def _transpose_fwd(inputs, params):
@@ -461,8 +455,7 @@ def _transpose_vjp(grad, out, inputs, params, needs):
     return (grad.transpose(params["inverse"]),)
 
 
-register("transpose", _transpose_fwd, _transpose_vjp, fuse="shape",
-         returns_view=True)
+register("transpose", _transpose_fwd, _transpose_vjp, returns_view=True)
 
 
 def _broadcast_to_fwd(inputs, params):
@@ -475,7 +468,7 @@ def _broadcast_to_vjp(grad, out, inputs, params, needs):
     return (_unbroadcast(grad, inputs[0].shape),)
 
 
-register("broadcast_to", _broadcast_to_fwd, _broadcast_to_vjp, fuse="shape",
+register("broadcast_to", _broadcast_to_fwd, _broadcast_to_vjp,
          returns_view=True)
 
 
@@ -487,8 +480,7 @@ def _expand_dims_vjp(grad, out, inputs, params, needs):
     return (np.squeeze(grad, axis=params["axis"]),)
 
 
-register("expand_dims", _expand_dims_fwd, _expand_dims_vjp, fuse="shape",
-         returns_view=True)
+register("expand_dims", _expand_dims_fwd, _expand_dims_vjp, returns_view=True)
 
 
 def _squeeze_fwd(inputs, params):
@@ -499,7 +491,7 @@ def _squeeze_vjp(grad, out, inputs, params, needs):
     return (np.expand_dims(grad, axis=params["axis"]),)
 
 
-register("squeeze", _squeeze_fwd, _squeeze_vjp, fuse="shape", returns_view=True)
+register("squeeze", _squeeze_fwd, _squeeze_vjp, returns_view=True)
 
 
 def _getitem_fwd(inputs, params):
@@ -512,7 +504,7 @@ def _getitem_vjp(grad, out, inputs, params, needs):
     return (full,)
 
 
-register("getitem", _getitem_fwd, _getitem_vjp, fuse="shape", returns_view=True)
+register("getitem", _getitem_fwd, _getitem_vjp, returns_view=True)
 
 
 # ---------------------------------------------------------------------- #
@@ -538,7 +530,7 @@ def _concatenate_vjp(grad, out, inputs, params, needs):
     return tuple(pieces)
 
 
-register("concatenate", _concatenate_fwd, _concatenate_vjp, fuse="shape")
+register("concatenate", _concatenate_fwd, _concatenate_vjp)
 
 
 def _stack_fwd(inputs, params):
@@ -552,7 +544,7 @@ def _stack_vjp(grad, out, inputs, params, needs):
                  for piece, need in zip(pieces, needs))
 
 
-register("stack", _stack_fwd, _stack_vjp, fuse="shape")
+register("stack", _stack_fwd, _stack_vjp)
 
 
 def _maximum_fwd(inputs, params):
@@ -568,7 +560,7 @@ def _maximum_vjp(grad, out, inputs, params, needs):
     )
 
 
-register("maximum", _maximum_fwd, _maximum_vjp, fuse="ew")
+register("maximum", _maximum_fwd, _maximum_vjp)
 
 
 def _where_fwd(inputs, params):
@@ -584,7 +576,7 @@ def _where_vjp(grad, out, inputs, params, needs):
     )
 
 
-register("where", _where_fwd, _where_vjp, fuse="ew")
+register("where", _where_fwd, _where_vjp)
 
 
 def _gather_points_fwd(inputs, params):
@@ -614,7 +606,7 @@ def _gather_points_vjp(grad, out, inputs, params, needs):
     return (np.ascontiguousarray(full.T).reshape(features.shape),)
 
 
-register("gather_points", _gather_points_fwd, _gather_points_vjp, fuse="gather")
+register("gather_points", _gather_points_fwd, _gather_points_vjp)
 
 
 # ---------------------------------------------------------------------- #

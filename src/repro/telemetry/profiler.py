@@ -1,17 +1,13 @@
-"""Opt-in per-op autograd profiler: a top-k time table over Tensor ops.
+"""Opt-in per-op profiler: a top-k time table over the ``OPS`` registry.
 
-:func:`profile_ops` temporarily wraps a curated set of
-:class:`repro.nn.Tensor` methods with timing shims.  Each shim times the
-forward call and, when the produced tensor carries a backward closure, also
-wraps that closure so the backward pass is attributed to the same op name.
-When the context exits the original methods are restored, so the profiler
-is zero-cost (not even an ``if``) while inactive.
-
-Timings are *inclusive*: ops implemented in terms of other ops (``mean``
-calls ``sum``, ``__sub__`` calls ``__add__``) accumulate their callees'
-time too.  Free tensor functions (``where``, ``gather_points``, ...) are
-imported by name at their call sites and are not patchable after the fact;
-their cost shows up in the gap between the op table and the wall clock.
+:func:`profile_ops` temporarily wraps the ``forward``, ``forward_out`` and
+``vjp`` kernels of every :class:`repro.nn.ops.OpDef` with timing shims, and
+puts the originals back when the context exits.  Every op runs through
+those kernels — Tensor methods, free functions such as ``where`` and
+``gather_points``, backward passes and compiled-plan replays alike — so
+each is timed under its registry name.  A kernel never calls another
+registry kernel, so the times are exclusive.  Nothing is wrapped while
+the profiler is inactive, so it costs nothing then.
 
 Activation paths:
 
@@ -28,17 +24,9 @@ import time
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Tuple
 
-#: Tensor methods the profiler wraps (forward + attributed backward).
-PROFILED_METHODS: Tuple[str, ...] = (
-    "__add__", "__neg__", "__mul__", "__truediv__", "__pow__", "__matmul__",
-    "__getitem__", "exp", "log", "sqrt", "tanh", "sigmoid", "relu",
-    "leaky_relu", "abs", "clip", "sum", "max", "reshape", "transpose",
-    "broadcast_to", "expand_dims", "squeeze",
-)
-
 
 class OpProfile:
-    """Accumulated per-op call counts and inclusive times (seconds)."""
+    """Accumulated per-op call counts and exclusive times (seconds)."""
 
     def __init__(self) -> None:
         self.forward: Dict[str, List[float]] = {}    # name -> [count, time]
@@ -84,58 +72,44 @@ class OpProfile:
                  "backward_s": bwd} for name, calls, fwd, bwd in self.top(k)]
 
 
-def _wrap_method(name: str, original, profile: OpProfile):
-    @functools.wraps(original)
-    def wrapper(self, *args, **kwargs):
+def _timed(kernel, add, name: str):
+    """``kernel`` with each call's duration booked as ``add(name, s)``."""
+    @functools.wraps(kernel)
+    def timed(*args):
         start = time.perf_counter()
-        out = original(self, *args, **kwargs)
-        profile.add_forward(name, time.perf_counter() - start)
-        backward = getattr(out, "_backward", None)
-        if backward is not None:
-            def timed_backward(grad, _backward=backward, _name=name):
-                begin = time.perf_counter()
-                _backward(grad)
-                profile.add_backward(_name, time.perf_counter() - begin)
-            out._backward = timed_backward
+        out = kernel(*args)
+        add(name, time.perf_counter() - start)
         return out
-    return wrapper
+    return timed
 
 
 @contextmanager
 def profile_ops(tracer=None, top_k: int = 12,
                 label: Optional[str] = None) -> Iterator[OpProfile]:
-    """Profile Tensor ops executed in the body; restore methods on exit.
+    """Profile the registry ops executed in the body; restore on exit.
 
     When ``tracer`` is an enabled tracer, an ``op_profile`` event carrying
     the top-``top_k`` table is emitted on exit.
-
-    Method shims only see *eager* execution — a compiled-plan replay (see
-    :mod:`repro.nn.compile`) never calls a Tensor method.  The profile is
-    therefore also registered as the plan executor's profile sink, which
-    reports replayed forward work as per-fused-segment spans (labelled by
-    the segment's op chain), so ``REPRO_PROFILE_OPS=1`` keeps covering the
-    black-box engines' replayed query forwards.
     """
-    from ..nn import compile as plan_compile
-    from ..nn.tensor import Tensor
+    from ..nn.ops import OPS
 
     profile = OpProfile()
-    originals = {}
-    for name in PROFILED_METHODS:
-        method = getattr(Tensor, name, None)
-        if callable(method):
-            originals[name] = method
-            setattr(Tensor, name, _wrap_method(name, method, profile))
-    plan_compile.set_profile_sink(profile)
+    originals = [(op, op.forward, op.forward_out, op.vjp)
+                 for op in OPS.values()]
+    for op, forward, forward_out, vjp in originals:
+        op.forward = _timed(forward, profile.add_forward, op.name)
+        if forward_out is not None:
+            op.forward_out = _timed(forward_out, profile.add_forward, op.name)
+        if vjp is not None:
+            op.vjp = _timed(vjp, profile.add_backward, op.name)
     try:
         yield profile
     finally:
-        plan_compile.set_profile_sink(None)
-        for name, method in originals.items():
-            setattr(Tensor, name, method)
+        for op, forward, forward_out, vjp in originals:
+            op.forward, op.forward_out, op.vjp = forward, forward_out, vjp
         if tracer is not None and tracer.enabled:
             tracer.emit("op_profile", label=label,
                         ops=profile.as_dict(top_k))
 
 
-__all__ = ["OpProfile", "PROFILED_METHODS", "profile_ops"]
+__all__ = ["OpProfile", "profile_ops"]

@@ -295,7 +295,7 @@ def _profile_section(profiles: List[Dict[str, Any]],
             entry[2] += float(row.get("backward_s", 0.0))
     rows = sorted(merged.items(), key=lambda kv: kv[1][1] + kv[1][2],
                   reverse=True)[:top_k]
-    lines = ["== op profile (top ops, inclusive) ==",
+    lines = ["== op profile (top ops, exclusive) ==",
              f"{'op':<14} {'calls':>8} {'fwd_ms':>9} {'bwd_ms':>9}"]
     for name, (calls, fwd, bwd) in rows:
         lines.append(f"{name:<14} {calls:>8d} {fwd * 1e3:>9.2f} "

@@ -3,8 +3,8 @@
 The engine-contract suite proves eager-vs-replayed bit-equality end to end
 on the black-box engines; this module tests the machinery itself —
 :class:`GraphRecorder` capture, the :func:`compile_plan` passes (dead-node
-elimination, constant folding, fusion, gradient poisoning), the
-:class:`StepProgram` lifecycle with its silent fallbacks, and profiler
+elimination, constant folding, gradient poisoning), the
+:meth:`PlanCache.run` lifecycle with its silent fallbacks, and profiler
 coverage of replayed forwards.
 """
 
@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.nn import Tensor
+from repro.nn import tensor as tensor_mod
 from repro.nn.compile import (PlanCache, compile_plan, plan_cache,
                               use_plan_cache)
 from repro.nn.graph import GraphRecorder, recording
@@ -116,12 +117,6 @@ class TestCompilerPasses:
         again = plan.execute(_feed(plan, feed))
         np.testing.assert_array_equal(again["h"], hidden2.data)
 
-    def test_fusion_groups_chains(self, weights):
-        """The matmul→add→relu hot chain compiles into a fused segment."""
-        plan = _capture(weights, RNG.standard_normal((4, 3)))
-        assert plan.num_fused >= 1
-        assert any("fused:" in label for label in plan._segment_labels)
-
     def test_unregistered_grad_tensor_poisons_capture(self, weights):
         w, b = weights
         x = Tensor(RNG.standard_normal((4, 3)))
@@ -145,51 +140,58 @@ class TestCompilerPasses:
 
 
 class TestStepProgramLifecycle:
-    def _program(self, cache, weights, shape=(4, 3)):
-        return cache.program(("test", shape),
-                             lambda: {"x": Tensor(np.zeros(shape))})
+    """:meth:`PlanCache.run`: capture once, replay thereafter, and fall
+    back to eager silently."""
+
+    def _forward(self, weights, recorded=None):
+        def forward(x):
+            if recorded is not None:
+                recorded.append(tensor_mod._RECORDER is not None)
+            return _network(x, *weights)
+        return forward
 
     def test_capture_once_replay_thereafter(self, weights):
         cache = PlanCache()
-        program = self._program(cache, weights)
-        program.feed(x=RNG.standard_normal((4, 3)))
-        assert program.replay() is None          # nothing captured yet
-        with program.capture() as active:
-            assert active
-            y = _network(program.tensor("x"), *weights)
-        program.finalize({"y": y})
+        recorded = []
+        forward = self._forward(weights, recorded)
+        feed1 = RNG.standard_normal((4, 3))
+        first = cache.run(("test",), forward, x=feed1)
+        np.testing.assert_array_equal(first, _eager(weights, feed1))
         assert cache.stats["captures"] == 1
         feed2 = RNG.standard_normal((4, 3))
-        program.feed(x=feed2)
-        replayed = program.replay()
-        np.testing.assert_array_equal(replayed["y"], _eager(weights, feed2))
+        replayed = cache.run(("test",), forward, x=feed2)
+        np.testing.assert_array_equal(replayed, _eager(weights, feed2))
+        assert recorded == [True]                # the replay ran no forward
         assert cache.stats == {"programs": 1, "captures": 1, "replays": 1,
                                "fallbacks": 0}
 
     def test_fallback_on_shape_change(self, weights):
         cache = PlanCache()
-        program = self._program(cache, weights)
-        program.feed(x=RNG.standard_normal((4, 3)))
-        with program.capture():
-            y = _network(program.tensor("x"), *weights)
-        program.finalize({"y": y})
-        program.feed(x=RNG.standard_normal((6, 3)))   # new shape
-        assert program.replay() is None               # silent eager fallback
-        assert cache.stats["fallbacks"] == 1
+        forward = self._forward(weights)
+        cache.run(("test",), forward, x=RNG.standard_normal((4, 3)))
+        feed = RNG.standard_normal((6, 3))                # new shape
+        out = cache.run(("test",), forward, x=feed)     # silent eager fallback
+        np.testing.assert_array_equal(out, _eager(weights, feed))
+        assert cache.stats == {"programs": 1, "captures": 1, "replays": 0,
+                               "fallbacks": 1}
 
     def test_invalid_capture_falls_back_forever(self, weights):
         cache = PlanCache()
-        program = self._program(cache, weights)
-        program.feed(x=RNG.standard_normal((4, 3)))
         stray = Tensor(RNG.standard_normal((4, 3)), requires_grad=True)
-        with program.capture():
-            y = _network(program.tensor("x") + stray, *weights)
-        program.finalize({"y": y})
-        assert not program.ready
-        assert cache.stats["fallbacks"] == 1
-        with program.capture() as active:
-            assert not active                  # poisoned: never re-captures
-        assert program.replay() is None
+        recorded = []
+
+        def forward(x):
+            recorded.append(tensor_mod._RECORDER is not None)
+            return _network(x + stray, *weights)
+
+        for _ in range(3):
+            feed = RNG.standard_normal((4, 3))
+            out = cache.run(("test",), forward, x=feed)
+            want = _network(Tensor(feed) + stray, *weights).data
+            np.testing.assert_array_equal(out, want)
+        assert recorded == [True, False, False]   # poisoned: never re-captures
+        assert cache.stats == {"programs": 1, "captures": 0, "replays": 0,
+                               "fallbacks": 1}
 
     def test_plan_cache_context(self):
         assert plan_cache() is None
@@ -208,7 +210,7 @@ class TestProfilerCoverage:
         baseline = plan.execute(feed)
         with profile_ops() as profile:
             profiled = plan.execute(feed)
-        assert profile.forward, "replay produced no profiler spans"
-        assert any("fused:" in name for name in profile.forward)
+        assert profile.forward["matmul"][0] == 1
+        assert not profile.backward
         # The profiled path runs the same kernels in the same order.
         np.testing.assert_array_equal(profiled["y"], baseline["y"])

@@ -81,14 +81,11 @@ def run_eager(fn, data: np.ndarray, upstream: np.ndarray, first=None):
 def run_replayed(fn, data: np.ndarray, upstream: np.ndarray,
                  first: np.ndarray):
     """Capture ``fn`` on ``first``, then replay the plan on ``data``."""
-    x = Tensor(first)
-    program = PlanCache().program(("fused",), lambda: {"x": x})
-    with program.capture():
-        out = fn(x)
-    program.finalize({"out": out})
-    assert program.ready
-    program.feed(x=data)
-    return (program.replay()["out"],)
+    cache = PlanCache()
+    cache.run(("fused",), fn, x=first)
+    out = cache.run(("fused",), fn, x=data)
+    assert cache.stats["replays"] == 1
+    return (out,)
 
 
 @pytest.fixture(params=["eager", "replay"])

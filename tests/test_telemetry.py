@@ -466,20 +466,45 @@ class TestProfiler:
             x = Tensor(np.ones((4, 4)), requires_grad=True)
             y = ((x * 2.0) + 1.0).sum()
             y.backward()
-        assert profile.forward["__mul__"][0] == 1
-        assert profile.forward["__add__"][0] >= 1
-        assert profile.forward["sum"][0] == 1
-        assert profile.backward["sum"][0] == 1
+        for name in ("mul", "add", "sum"):
+            assert profile.forward[name][0] == 1
+            assert profile.backward[name][0] == 1
         rows = profile.top(5)
         assert rows and all(len(row) == 4 for row in rows)
         assert "op" in profile.table(3)
 
+    def test_free_functions_are_profiled_forward_and_backward(self):
+        from repro.nn import Tensor, concatenate, gather_points, where
+        rng = np.random.default_rng(0)
+        with profile_ops() as profile:
+            x = Tensor(rng.normal(size=(2, 5, 3)), requires_grad=True)
+            picked = gather_points(x, rng.integers(0, 5, size=(2, 4, 2)))
+            joined = concatenate([picked, picked * 2.0], axis=-1)
+            kept = where(joined.data > 0, joined, joined * 0.5)
+            kept.sum().backward()
+        for name in ("where", "gather_points", "concatenate"):
+            assert profile.forward[name][0] == 1
+            assert profile.backward[name][0] == 1
+
     def test_methods_restored_after_context(self):
-        from repro.nn.tensor import Tensor
-        before = Tensor.__add__
+        """Each context wraps the ``OPS`` kernels and puts back the ones
+        it found, so nested profiles unwind in order."""
+        from repro.nn.ops import OPS
+
+        def kernels():
+            return {name: (op.forward, op.forward_out, op.vjp)
+                    for name, op in OPS.items()}
+
+        before = kernels()
         with profile_ops():
-            assert Tensor.__add__ is not before
-        assert Tensor.__add__ is before
+            inside = kernels()
+            assert all(inside[name][0] is not before[name][0] for name in OPS)
+            assert inside["matmul"][1] is None          # no out= kernel
+            assert inside["detached_max"][2] is None    # no VJP
+            with profile_ops():
+                assert kernels() != inside
+            assert kernels() == inside
+        assert kernels() == before
 
     def test_emits_event_into_tracer(self):
         from repro.nn import Tensor
@@ -492,7 +517,7 @@ class TestProfiler:
                      if e["type"] == "op_profile")
         assert event["label"] == "unit"
         ops = {row["op"] for row in event["ops"]}
-        assert {"__mul__", "sum"} <= ops
+        assert {"mul", "sum"} <= ops
 
     def test_profiled_attack_is_bit_identical(self, telemetry_model,
                                               telemetry_scenes, monkeypatch):
@@ -507,6 +532,37 @@ class TestProfiler:
         assert plain.history == profiled.history
         events = _trace_events(stream)
         assert any(e["type"] == "op_profile" for e in events)
+
+    def test_profiled_nes_cell_is_bit_identical_and_counts_replays(
+            self, telemetry_model, telemetry_scenes, monkeypatch):
+        """A colour NES cell replays its query forwards; the profile books
+        a replay's matmuls exactly as it books an eager forward's."""
+        from repro.accel import last_attack_plan_stats
+        from repro.core import blackbox as blackbox_mod
+
+        def profiled_matmuls():
+            stream = io.StringIO()
+            with trace_to(stream=stream):
+                result = run_attack(telemetry_model, telemetry_scenes[0],
+                                    config)
+            [event] = [e for e in _trace_events(stream)
+                       if e["type"] == "op_profile"]
+            rows = {row["op"]: row for row in event["ops"]}
+            return result, rows["matmul"]["calls"]
+
+        config = make_config("nes", "fast")
+        plain = run_attack(telemetry_model, telemetry_scenes[0], config)
+        monkeypatch.setenv("REPRO_PROFILE_OPS", "1")
+        profiled, replayed_matmuls = profiled_matmuls()
+        assert last_attack_plan_stats()["replays"] > 0
+        monkeypatch.setattr(blackbox_mod, "plan_cache", lambda: None)
+        eager, eager_matmuls = profiled_matmuls()
+        assert last_attack_plan_stats()["replays"] == 0
+        for result in (profiled, eager):
+            np.testing.assert_array_equal(plain.adversarial_colors,
+                                          result.adversarial_colors)
+            assert plain.history == result.history
+        assert replayed_matmuls == eager_matmuls > 0
 
 
 # ---------------------------------------------------------------------- #
