@@ -18,6 +18,7 @@ its events in exactly the order the engine emitted them (asserted by
 from __future__ import annotations
 
 import os
+import stat
 import time
 from typing import Any, Dict, Optional, Sequence, Tuple
 
@@ -98,17 +99,44 @@ def _wire_safe(record: Dict[str, Any]) -> Dict[str, Any]:
 # ---------------------------------------------------------------------- #
 # Worker lifecycle
 # ---------------------------------------------------------------------- #
+def _release_inherited_sockets() -> None:
+    """Point every socket descriptor above stderr at ``/dev/null``.
+
+    The pool forks its workers on the first submit after each build,
+    inside whichever request made it, so a worker starts with copies of
+    the listener and of every open client connection; without this, a
+    client reading to EOF after its answer waits until the worker exits.
+    ``dup2`` rather than ``close``, because the socket objects copied from
+    the parent still own those descriptor numbers and close them when
+    collected.  Spawn-started workers (no ``/proc``) inherit no sockets.
+    """
+    try:
+        fds = [int(name) for name in os.listdir("/proc/self/fd")]
+    except OSError:
+        return
+    null = os.open(os.devnull, os.O_RDWR)
+    for fd in fds:
+        try:
+            if fd > 2 and stat.S_ISSOCK(os.fstat(fd).st_mode):
+                os.dup2(null, fd)
+        except OSError:     # the listing's own descriptor, closed since
+            pass
+    os.close(null)
+
+
 def initialize_serve_worker(config_dict: Dict[str, Any],
                             trace_path: Optional[str] = None,
                             event_queue: Any = None) -> None:
     """Pool initializer of the serving layer.
 
-    Reuses the pipeline's :func:`~repro.pipeline.worker.initialize_worker`
-    (lazy warm context, compute-thread pinning, optional JSONL tracer),
-    then installs the :class:`QueueTracer` bridge on top so engine events
-    flow back to the server.
+    Releases the client sockets a forked worker inherits, reuses the
+    pipeline's :func:`~repro.pipeline.worker.initialize_worker` (lazy warm
+    context, compute-thread pinning, optional JSONL tracer), then installs
+    the :class:`QueueTracer` bridge on top so engine events flow back to
+    the server.
     """
     global _EVENT_QUEUE
+    _release_inherited_sockets()
     initialize_worker(config_dict, trace_path)
     if event_queue is not None:
         _EVENT_QUEUE = event_queue

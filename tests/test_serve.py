@@ -222,13 +222,44 @@ def _raw_exchange(address, frame):
 
 
 def _first_answer(address, frame):
-    """Send raw bytes; the first response line.  (Reading to EOF would
-    wait on a pool worker forked while the connection was open, which
-    holds a copy of its socket.)"""
+    """Send raw bytes; the first response line."""
     with socket.create_connection(address, timeout=30.0) as sock:
         sock.sendall(frame)
         with sock.makefile("rb") as stream:
             return json.loads(stream.readline())
+
+
+def _answer_then_eof(address, frame, wait=2.0):
+    """Send raw bytes; the first response line, after checking that EOF
+    follows it within ``wait`` seconds."""
+    with socket.create_connection(address, timeout=30.0) as sock:
+        sock.sendall(frame)
+        with sock.makefile("rb") as stream:
+            answer = json.loads(stream.readline())
+            sock.settimeout(wait)
+            assert stream.read() == b""
+    return answer
+
+
+class TestWorkerSockets:
+    """A pool worker forked while a client is connected must not keep
+    that client's socket open: EOF follows the answer at once."""
+
+    FRAME = protocol.encode({"op": "task", "task_id": "t",
+                             "kind": "serve:echo", "params": {"x": 1}})
+
+    def test_first_task_after_start(self, config, store_dir):
+        with ServerThread(_server(config, store_dir)) as address:
+            assert _answer_then_eof(address, self.FRAME)["ok"]
+
+    def test_first_task_after_a_timeout_rebuild(self, config, store_dir):
+        with ServerThread(_server(config, store_dir, jobs=1)) as address:
+            client = Client(address)
+            with pytest.raises(ServeError):
+                client.task("hung", "serve:slow", {"sleep": 60.0}, {},
+                            timeout=1.0)
+            assert client.stats()["pool"]["rebuilds"] == 1
+            assert _answer_then_eof(address, self.FRAME)["ok"]
 
 
 class TestMalformedRequests:
