@@ -82,7 +82,6 @@ class GraphRecorder:
         self.order: List[Node] = []
         self.placeholders: Dict[str, Node] = {}
         self.valid = True
-        self.invalid_reason: Optional[str] = None
         # id(tensor) -> Node, plus a reference to the tensor itself so ids
         # cannot be recycled by the allocator mid-capture.
         self._nodes: Dict[int, Node] = {}
@@ -107,7 +106,6 @@ class GraphRecorder:
             # baking something that must not be constant.
             if t.requires_grad:
                 self.valid = False
-                self.invalid_reason = "unregistered tensor requires grad"
             node = Node("constant", shape=t.shape, dtype=t.dtype,
                         requires_grad=t.requires_grad, data=t.data)
             self._bind(t, node)
@@ -138,7 +136,6 @@ def recording(recorder: GraphRecorder) -> Iterator[GraphRecorder]:
     """
     if tensor_mod._RECORDER is not None:
         recorder.valid = False
-        recorder.invalid_reason = "nested capture"
         yield recorder
         return
     tensor_mod._RECORDER = recorder

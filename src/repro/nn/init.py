@@ -5,13 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def xavier_uniform(shape, rng: np.random.Generator) -> np.ndarray:
-    """Glorot/Xavier uniform initialisation for a weight of ``shape`` (in, out)."""
-    fan_in, fan_out = shape[0], shape[-1]
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
-
-
 def kaiming_uniform(shape, rng: np.random.Generator) -> np.ndarray:
     """He/Kaiming uniform initialisation (suited to ReLU activations)."""
     fan_in = shape[0]
@@ -27,4 +20,4 @@ def ones(shape) -> np.ndarray:
     return np.ones(shape)
 
 
-__all__ = ["xavier_uniform", "kaiming_uniform", "zeros", "ones"]
+__all__ = ["kaiming_uniform", "zeros", "ones"]

@@ -49,13 +49,6 @@ class RunReport:
         self.records.append(record)
         return record
 
-    def by_status(self) -> Dict[str, List[TaskRecord]]:
-        grouped: Dict[str, List[TaskRecord]] = {RAN: [], CACHED: [],
-                                                FAILED: [], SKIPPED: []}
-        for record in self.records:
-            grouped.setdefault(record.status, []).append(record)
-        return grouped
-
     def count(self, status: str) -> int:
         return sum(1 for record in self.records if record.status == status)
 

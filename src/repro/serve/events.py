@@ -35,10 +35,6 @@ _CURRENT_JOB: Optional[str] = None
 _EVENT_QUEUE: Any = None
 
 
-def current_job() -> Optional[str]:
-    return _CURRENT_JOB
-
-
 class QueueTracer(NullTracer):
     """Tracer that forwards events onto a multiprocessing queue.
 
@@ -177,7 +173,6 @@ def serve_run_task(job_key: str, task_id: str, kind: str,
 
 __all__ = [
     "QueueTracer",
-    "current_job",
     "initialize_serve_worker",
     "serve_run_task",
 ]

@@ -130,9 +130,6 @@ class JobSpec:
             return f"experiment:{self.params.get('name')}"
         return self.kind
 
-    def as_wire(self) -> Dict[str, Any]:
-        return {"kind": self.kind, "params": dict(self.params)}
-
 
 def job_key(spec: JobSpec, config: Any) -> str:
     """Content hash identifying one job under one server configuration.
