@@ -281,30 +281,26 @@ class PlanCache:
         the key eager for good; a replay fed arrays of another shape counts
         one fallback and runs eagerly.
         """
+        tensors = {name: Tensor(arr) for name, arr in feeds.items()}
         if key not in self._plans:
             self.stats["programs"] += 1
-            placeholders = {name: Tensor(arr) for name, arr in feeds.items()}
-            recorder = GraphRecorder(placeholders)
+            recorder = GraphRecorder(tensors)
             with recording(recorder):
-                out = forward(**placeholders)
-            plan = compile_plan(recorder, {"out": out})
-            self._plans[key] = plan
+                out = forward(**tensors)
+            plan = self._plans[key] = compile_plan(recorder, {"out": out})
             self.stats["fallbacks" if plan is None else "captures"] += 1
             return out.data
         plan = self._plans[key]
         if plan is not None:
             try:
-                outputs = plan.execute(feeds)
+                outputs = plan.execute({name: t.data
+                                        for name, t in tensors.items()})
             except PlanMismatch:
                 self.stats["fallbacks"] += 1
             else:
                 self.stats["replays"] += 1
                 return outputs["out"]
-        return forward(**{name: Tensor(arr)
-                          for name, arr in feeds.items()}).data
-
-    def __len__(self) -> int:
-        return len(self._plans)
+        return forward(**tensors).data
 
 
 __all__ = [
