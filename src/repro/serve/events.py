@@ -104,7 +104,9 @@ def _release_inherited_sockets() -> None:
     client reading to EOF after its answer waits until the worker exits.
     ``dup2`` rather than ``close``, because the socket objects copied from
     the parent still own those descriptor numbers and close them when
-    collected.  Spawn-started workers (no ``/proc``) inherit no sockets.
+    collected.  The standard streams stay (under a service manager they
+    may be its log socket).  Spawn-started workers (no ``/proc``) inherit
+    no sockets.
     """
     try:
         fds = [int(name) for name in os.listdir("/proc/self/fd")]
