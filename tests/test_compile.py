@@ -143,17 +143,16 @@ class TestStepProgramLifecycle:
     """:meth:`PlanCache.run`: capture once, replay thereafter, and fall
     back to eager silently."""
 
-    def _forward(self, weights, recorded=None):
+    def _forward(self, recorded, weights, stray=None):
+        """``_network``, logging whether each call ran under a recorder."""
         def forward(x):
-            if recorded is not None:
-                recorded.append(tensor_mod._RECORDER is not None)
-            return _network(x, *weights)
+            recorded.append(tensor_mod._RECORDER is not None)
+            return _network(x if stray is None else x + stray, *weights)
         return forward
 
     def test_capture_once_replay_thereafter(self, weights):
-        cache = PlanCache()
-        recorded = []
-        forward = self._forward(weights, recorded)
+        cache, recorded = PlanCache(), []
+        forward = self._forward(recorded, weights)
         feed1 = RNG.standard_normal((4, 3))
         first = cache.run(("test",), forward, x=feed1)
         np.testing.assert_array_equal(first, _eager(weights, feed1))
@@ -161,35 +160,31 @@ class TestStepProgramLifecycle:
         feed2 = RNG.standard_normal((4, 3))
         replayed = cache.run(("test",), forward, x=feed2)
         np.testing.assert_array_equal(replayed, _eager(weights, feed2))
-        assert recorded == [True]                # the replay ran no forward
+        assert recorded == [True]               # the replay ran no forward
         assert cache.stats == {"programs": 1, "captures": 1, "replays": 1,
                                "fallbacks": 0}
 
     def test_fallback_on_shape_change(self, weights):
-        cache = PlanCache()
-        forward = self._forward(weights)
+        cache, recorded = PlanCache(), []
+        forward = self._forward(recorded, weights)
         cache.run(("test",), forward, x=RNG.standard_normal((4, 3)))
-        feed = RNG.standard_normal((6, 3))                # new shape
-        out = cache.run(("test",), forward, x=feed)     # silent eager fallback
+        feed = RNG.standard_normal((6, 3))      # new shape
+        out = cache.run(("test",), forward, x=feed)
         np.testing.assert_array_equal(out, _eager(weights, feed))
+        assert recorded == [True, False]        # silent eager fallback
         assert cache.stats == {"programs": 1, "captures": 1, "replays": 0,
                                "fallbacks": 1}
 
     def test_invalid_capture_falls_back_forever(self, weights):
-        cache = PlanCache()
+        cache, recorded = PlanCache(), []
         stray = Tensor(RNG.standard_normal((4, 3)), requires_grad=True)
-        recorded = []
-
-        def forward(x):
-            recorded.append(tensor_mod._RECORDER is not None)
-            return _network(x + stray, *weights)
-
+        forward = self._forward(recorded, weights, stray)
         for _ in range(3):
             feed = RNG.standard_normal((4, 3))
             out = cache.run(("test",), forward, x=feed)
             want = _network(Tensor(feed) + stray, *weights).data
             np.testing.assert_array_equal(out, want)
-        assert recorded == [True, False, False]   # poisoned: never re-captures
+        assert recorded == [True, False, False]  # poisoned: never re-captures
         assert cache.stats == {"programs": 1, "captures": 0, "replays": 0,
                                "fallbacks": 1}
 

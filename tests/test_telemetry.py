@@ -540,6 +540,8 @@ class TestProfiler:
         from repro.accel import last_attack_plan_stats
         from repro.core import blackbox as blackbox_mod
 
+        config = make_config("nes", "fast")
+
         def profiled_matmuls():
             stream = io.StringIO()
             with trace_to(stream=stream):
@@ -550,7 +552,6 @@ class TestProfiler:
             rows = {row["op"]: row for row in event["ops"]}
             return result, rows["matmul"]["calls"]
 
-        config = make_config("nes", "fast")
         plain = run_attack(telemetry_model, telemetry_scenes[0], config)
         monkeypatch.setenv("REPRO_PROFILE_OPS", "1")
         profiled, replayed_matmuls = profiled_matmuls()
