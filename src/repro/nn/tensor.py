@@ -6,7 +6,10 @@ engine: every operation is declared once in the :mod:`repro.nn.ops` registry
 (forward kernel + vector-Jacobian product + compiler metadata), and every
 Tensor method is a thin wrapper that routes through the :func:`_apply`
 chokepoint.  :meth:`Tensor.backward` walks the recorded graph in reverse
-topological order accumulating gradients.
+topological order accumulating gradients, and consumes it as it goes: only
+leaves keep ``.grad``, so call it once per forward.  An output that needs no
+gradient records no parents, so a gradient-free forward frees each
+intermediate as soon as nothing else holds it.
 
 Routing everything through one chokepoint is what makes graph capture
 (:mod:`repro.nn.graph`) possible: when a recorder is active, ``_apply``
@@ -74,10 +77,18 @@ def _apply(op: OpDef, inputs: Tuple["Tensor", ...], params: dict) -> "Tensor":
         out = Tensor(data, requires_grad=True, _parents=inputs,
                      _backward=backward)
     else:
-        out = Tensor(data, requires_grad=False, _parents=inputs)
+        # No parents: nothing walks a gradient-free output's graph, so its
+        # inputs are freed as soon as the caller drops them.
+        out = Tensor(data, requires_grad=False)
     if _RECORDER is not None:
         _RECORDER.record(op, inputs, out, params)
     return out
+
+
+def _consumed(grad: np.ndarray) -> None:
+    """The backward closure of a node an earlier ``backward()`` ran."""
+    raise RuntimeError("backward() through a graph that an earlier backward() "
+                       "already consumed; run the forward again")
 
 
 class Tensor:
@@ -317,6 +328,13 @@ class Tensor:
 
         Notes
         -----
+        The walk consumes the graph, as PyTorch does by default: once a
+        node's VJP has run, its closure, parent links and gradient are
+        dropped, so only leaves keep ``.grad`` and each activation is freed
+        as soon as nothing else holds it.  Call ``backward()`` once per
+        forward; a second call through a consumed node raises
+        ``RuntimeError``.
+
         ``.grad`` arrays must be treated as read-only: the allocation-lean
         accumulation stores gradients by reference, so an array may be
         shared between tensors or be a read-only broadcast view.  Replace a
@@ -347,14 +365,17 @@ class Tensor:
                     stack.append((parent, False))
 
         self._accumulate(grad)
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-                # Pass-through ops may have stored this very buffer into the
-                # parents' .grad; relinquish ownership so a later backward()
-                # accumulating into this node allocates instead of mutating
-                # an array that now aliases other tensors' gradients.
-                node._grad_owned = False
+                # Consume the node: its closure (and the activations it
+                # captured), its parent links and its gradient go now, so
+                # the tape shrinks as the walk proceeds and a second
+                # backward() through it raises.
+                node._backward = _consumed
+                node._parents = ()
+                node.zero_grad()
 
 
 def as_tensor(value: ArrayLike) -> Tensor:
