@@ -80,8 +80,9 @@ def attack_compute(model, config, *,
         _last_plan_stats = dict(plans.stats)
         record_cache_stats(stats)
         if tracer.enabled:
-            engine = getattr(config, "engine_name", None)
-            tracer.emit("attack_run", engine=engine,
+            tracer.emit("attack_run",
+                        engine=getattr(config, "engine_name", None),
+                        regime=getattr(config, "cache_regime", None),
                         dur_s=time.perf_counter() - start,
                         steps=stats["step"], dtype=str(policy.dtype),
                         refresh=cache.refresh_interval, cache=stats,

@@ -202,6 +202,21 @@ class AttackConfig:
         return self.method.value
 
     @property
+    def cache_regime(self) -> str:
+        """Neighbourhood-cache regime label used by telemetry reports.
+
+        ``blackbox`` for NES / SPSA / boundary, ``eot`` for adaptive
+        white-box runs, otherwise the attacked field (``color`` /
+        ``coordinate`` / ``both``).  Lookups hit at very different rates
+        across these regimes, so the cache summary reports each apart.
+        """
+        if self.attack_mode is not AttackMode.WHITEBOX:
+            return "blackbox"
+        if self.adaptive:
+            return "eot"
+        return self.field.value
+
+    @property
     def steps(self) -> int:
         """Iteration budget of the configured method."""
         eot = 1

@@ -6,7 +6,8 @@ event families the trace contains:
 * the run manifest (code version, host, config salt / compute policy);
 * per-engine attack summaries (runs, steps, wall time, ms/step) and step
   curves (mean loss by optimisation step);
-* neighbourhood-cache efficiency (exact/stale/miss/tree totals, hit rate);
+* neighbourhood-cache efficiency (lookups and hit rate per regime, then
+  the exact/stale/miss/tree totals);
 * scheduler utilization: the per-task span table, busy-vs-wall utilization,
   and the critical path through the task graph;
 * resilience activity (only when any occurred): retries by task and error
@@ -143,16 +144,28 @@ def cache_totals(runs: List[Dict[str, Any]]) -> Dict[str, int]:
 
 
 def _cache_section(runs: List[Dict[str, Any]]) -> List[str]:
+    """One row per cache regime (``attack_run``'s ``regime``), then the
+    total: colour, coordinate, EOT and black-box lookups hit at very
+    different rates, so the blended rate alone misleads."""
     lines = ["== neighbourhood cache =="]
     if not runs:
         return lines + ["(no attack_run events)"]
-    totals = cache_totals(runs)
-    hits = totals["exact_hits"] + totals["stale_hits"]
-    lookups = hits + totals["misses"]
-    rate = (hits / lookups) if lookups else 0.0
+    by_regime: Dict[str, List[Dict[str, Any]]] = defaultdict(list)
+    for run in runs:
+        by_regime[str(run.get("regime") or "unknown")].append(run)
+    lines.append(f"{'regime':<12} {'runs':>5} {'lookups':>8} {'exact':>7} "
+                 f"{'stale':>7} {'misses':>7} {'hit rate':>9}")
+    rows = [(name, by_regime[name]) for name in sorted(by_regime)]
+    for name, group in rows + [("total", runs)]:
+        totals = cache_totals(group)
+        hits = totals["exact_hits"] + totals["stale_hits"]
+        lookups = hits + totals["misses"]
+        rate = f"{hits / lookups:.1%}" if lookups else "-"
+        lines.append(f"{name:<12} {len(group):>5d} {lookups:>8d} "
+                     f"{totals['exact_hits']:>7d} {totals['stale_hits']:>7d} "
+                     f"{totals['misses']:>7d} {rate:>9}")
     lines.append("  ".join(f"{key} {value}"
-                           for key, value in totals.items()))
-    lines.append(f"lookups {lookups}  hit rate {rate:.1%}")
+                           for key, value in cache_totals(runs).items()))
     return lines
 
 

@@ -598,6 +598,32 @@ class TestSummarize:
         assert f"misses {totals['misses']}" in text
         assert f"exact_hits {totals['exact_hits']}" in text
 
+    def test_cache_section_splits_regimes(self, telemetry_model,
+                                          telemetry_scenes, tmp_path):
+        """A colour and a coordinate cell get a row each (the regime the
+        ``attack_run`` event carries); their lookups add up to the total."""
+        path = tmp_path / "trace.jsonl"
+        with trace_to(str(path)):
+            for field in ("color", "coordinate"):
+                config = make_config("bounded", "fast", field=field)
+                assert config.cache_regime == field
+                run_attack(telemetry_model, telemetry_scenes[0], config)
+        runs = [e for e in read_events(str(path)) if e["type"] == "attack_run"]
+        assert [run["regime"] for run in runs] == ["color", "coordinate"]
+        section = summarize_path(str(path)).split(
+            "== neighbourhood cache ==\n")[1].split("\n\n")[0]
+        rows = {line.split()[0]: line.split() for line in section.splitlines()}
+        assert set(rows) >= {"regime", "color", "coordinate", "total"}
+        assert "unknown" not in rows
+        lookups = {name: int(rows[name][2])
+                   for name in ("color", "coordinate", "total")}
+        assert lookups["color"] > 0 and lookups["coordinate"] > 0
+        assert lookups["color"] + lookups["coordinate"] == lookups["total"]
+        for run in runs:
+            cache = run["cache"]
+            assert int(rows[run["regime"]][2]) == (
+                cache["exact_hits"] + cache["stale_hits"] + cache["misses"])
+
     def test_scheduler_section_and_critical_path(self, tmp_path):
         path = tmp_path / "sched.jsonl"
         with trace_to(str(path)):
@@ -638,3 +664,14 @@ class TestEngineName:
         assert make_config("boundary", "fast").engine_name == "boundary"
         noise = make_config("bounded", "fast", method="noise")
         assert noise.engine_name == "noise"
+
+    def test_cache_regime_property(self):
+        for engine in ("nes", "spsa", "boundary"):
+            assert make_config(engine, "fast").cache_regime == "blackbox"
+        adaptive = make_config("bounded", "fast", adaptive=True,
+                               defense="jitter", field="coordinate")
+        assert adaptive.cache_regime == "eot"
+        for field in ("color", "coordinate", "both"):
+            for engine in ("bounded", "unbounded"):
+                config = make_config(engine, "fast", field=field)
+                assert config.cache_regime == field
