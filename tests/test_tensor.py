@@ -1,5 +1,8 @@
 """Unit tests for the autograd engine (repro.nn.tensor)."""
 
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -420,3 +423,76 @@ class TestGraph:
         c = Tensor([3.0])
         (x * c).sum().backward()
         assert c.grad is None
+
+
+class TestLifetime:
+    """``backward()`` consumes the tape, and gradient-free outputs keep no
+    graph.  ``Tensor`` has ``__slots__`` and no weak references, so the
+    weakrefs below watch the ``.data`` arrays instead."""
+
+    SHAPE = (128, 512)                       # 512 KiB per float64 array
+    ARRAY_BYTES = 128 * 512 * 8
+
+    def test_backward_frees_the_tape_as_it_walks(self):
+        """tracemalloc counts NumPy's allocations exactly: after the walk
+        only the leaf and its gradient are left, and the walk itself never
+        holds much more than the forward left alive."""
+        tracemalloc.start()
+        try:
+            x = Tensor(np.random.default_rng(0).normal(size=self.SHAPE),
+                       requires_grad=True)
+            y = x
+            for _ in range(16):
+                y = (y * 1.01).tanh()
+            loss = y.sum()
+            del y
+            forward, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            loss.backward()
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert forward > 32 * self.ARRAY_BYTES      # the tape was there
+        assert after <= 3 * self.ARRAY_BYTES        # leaf data and grad
+        assert peak <= forward + 4 * self.ARRAY_BYTES
+        assert x.grad.shape == self.SHAPE
+
+    def test_backward_frees_dropped_activations(self):
+        x = Tensor(np.full((4, 3), 0.5), requires_grad=True)
+        hidden = x * 2.0
+        ref = weakref.ref(hidden.data)
+        out = hidden.tanh()
+        del hidden
+        assert ref() is not None                    # the tape holds it
+        out.sum().backward()
+        assert ref() is None
+        np.testing.assert_allclose(x.grad, 2.0 * (1.0 - np.tanh(1.0) ** 2))
+
+    def test_gradient_free_outputs_keep_no_parents(self):
+        x = Tensor(np.full((4, 3), 0.5))
+        hidden = x * 2.0
+        ref = weakref.ref(hidden.data)
+        out = hidden.tanh()
+        del hidden
+        assert ref() is None                        # freed while out lives
+        np.testing.assert_allclose(out.data, np.tanh(1.0))
+
+    def test_only_leaves_keep_grad(self):
+        x = Tensor([2.0], requires_grad=True)
+        hidden = x * 3.0
+        loss = hidden.sum()
+        loss.backward()
+        assert hidden.grad is None and loss.grad is None
+        np.testing.assert_allclose(x.grad, [3.0])
+
+    def test_second_backward_through_a_consumed_graph_raises(self):
+        x = Tensor([2.0], requires_grad=True)
+        hidden = x * 3.0
+        loss = (hidden * hidden).sum()
+        loss.backward()
+        np.testing.assert_allclose(x.grad, [36.0])
+        with pytest.raises(RuntimeError, match="consumed"):
+            loss.backward()
+        with pytest.raises(RuntimeError, match="consumed"):
+            (hidden * 1.0).sum().backward()         # fresh root, spent node
+        np.testing.assert_allclose(x.grad, [36.0])  # never added twice
