@@ -155,8 +155,7 @@ def _cache_section(runs: List[Dict[str, Any]]) -> List[str]:
         by_regime[str(run.get("regime") or "unknown")].append(run)
     lines.append(f"{'regime':<12} {'runs':>5} {'lookups':>8} {'exact':>7} "
                  f"{'stale':>7} {'misses':>7} {'hit rate':>9}")
-    rows = [(name, by_regime[name]) for name in sorted(by_regime)]
-    for name, group in rows + [("total", runs)]:
+    for name, group in [*sorted(by_regime.items()), ("total", runs)]:
         totals = cache_totals(group)
         hits = totals["exact_hits"] + totals["stale_hits"]
         lookups = hits + totals["misses"]

@@ -623,6 +623,10 @@ class TestSummarize:
             cache = run["cache"]
             assert int(rows[run["regime"]][2]) == (
                 cache["exact_hits"] + cache["stale_hits"] + cache["misses"])
+        # A trace written before the field existed still renders.
+        legacy = {key: value for key, value in runs[0].items()
+                  if key != "regime"}
+        assert "\nunknown " in summarize_events([legacy])
 
     def test_scheduler_section_and_critical_path(self, tmp_path):
         path = tmp_path / "sched.jsonl"
