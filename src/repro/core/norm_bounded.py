@@ -79,6 +79,7 @@ class NormBoundedAttack:
                                       for s in scenes])
         else:
             target_labels = None
+        targets = [None] * batch if target_labels is None else list(target_labels)
 
         self.model.eval()
         clean_predictions = [self.model.predict_single(coords[b], colors[b])
@@ -119,8 +120,6 @@ class NormBoundedAttack:
 
         with attack_compute(self.model, config, neighbor_refresh=refresh) as cache:
             for step in range(1, config.bounded_steps + 1):
-                if not active.any():
-                    break
                 iterations[active] = step
                 cache.advance()
                 coords_t = Tensor(adv_coords,
@@ -152,16 +151,22 @@ class NormBoundedAttack:
                               else self.model(Tensor(adv_coords),
                                               Tensor(adv_colors)))
                     predictions = np.argmax(report.data, axis=-1)        # (B, N)
-                loss.sum().backward()
+                converges = np.array([
+                    active[b] and self.check.converged(
+                        predictions[b], labels[b], targets[b], mask[b])
+                    for b in range(batch)])
+                # Only the sign step reads this gradient, and a step at
+                # which every scene still attacking converges takes none.
+                reads_gradient = not np.array_equal(converges, active)
+                if reads_gradient:
+                    loss.sum().backward()
 
                 loss_vals = np.asarray(loss.data, dtype=np.float64)
                 for b in range(batch):
                     if not active[b]:
                         continue
-                    scene_targets = (None if target_labels is None
-                                     else target_labels[b])
                     gain = self.check.gain(predictions[b], labels[b],
-                                           scene_targets, mask[b])
+                                           targets[b], mask[b])
                     histories[b].append({"step": float(step),
                                          "loss": float(loss_vals[b]),
                                          "gain": gain})
@@ -173,15 +178,18 @@ class NormBoundedAttack:
                                     scene=scenes[b].scene_name, step=step,
                                     loss=float(loss_vals[b]), gain=gain,
                                     pnorm=pnorm)
-                    if self.check.converged(predictions[b], labels[b],
-                                            scene_targets, mask[b]):
+                    if converges[b]:
                         converged[b] = True
                         active[b] = False
                         if tracer.enabled:
                             tracer.emit("attack_converged",
                                         engine=config.engine_name,
                                         scene=scenes[b].scene_name, step=step)
-                if not active.any():
+                if not reads_gradient:
+                    # The graph the skipped backward would have consumed is
+                    # still held here: drop it before build_result's
+                    # reporting forwards allocate theirs.
+                    logits = raw_logits = report = loss = None
                     break
 
                 # Sign-of-gradient step, masked to each scene's attacked

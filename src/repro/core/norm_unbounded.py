@@ -88,6 +88,7 @@ class NormUnboundedAttack:
                                       for s in scenes])
         else:
             target_labels = None
+        targets = [None] * batch if target_labels is None else list(target_labels)
 
         self.model.eval()
         # Clean predictions stay per-scene: they run under the float64
@@ -145,8 +146,6 @@ class NormUnboundedAttack:
             coords_const = Tensor(coords)
 
             for step in range(1, config.unbounded_steps + 1):
-                if not active.any():
-                    break
                 iterations[active] = step
                 cache.advance()
 
@@ -234,19 +233,29 @@ class NormUnboundedAttack:
                     per_scene=True)
                 total = (distance + config.lambda1 * adversarial
                          + config.lambda2 * smooth)
-                # Summing the per-scene objectives routes a gradient of 1.0
-                # into every scene's term while scenes stay independent end
-                # to end.
-                total.sum().backward()
-
-                if (config.alternating_fields and w_color is not None
-                        and w_coord is not None):
-                    if step % 2 == 1 and w_coord.grad is not None:
-                        w_coord.grad = np.zeros_like(w_coord.grad)
-                    elif step % 2 == 0 and w_color.grad is not None:
-                        w_color.grad = np.zeros_like(w_color.grad)
 
                 predictions = np.argmax(logits.data, axis=-1)            # (B, N)
+                converges = np.array([
+                    active[b] and self.check.converged(
+                        predictions[b], labels[b], targets[b], mask[b])
+                    for b in range(batch)])
+                # Only a later step reads this gradient (through Adam and
+                # min-impact pruning): the last step, and a step at which
+                # every scene still attacking converges, skip the backward.
+                reads_gradient = (step < config.unbounded_steps
+                                  and not np.array_equal(converges, active))
+                if reads_gradient:
+                    # Summing the per-scene objectives routes a gradient of
+                    # 1.0 into every scene's term while scenes stay
+                    # independent end to end.
+                    total.sum().backward()
+                    if (config.alternating_fields and w_color is not None
+                            and w_coord is not None):
+                        if step % 2 == 1 and w_coord.grad is not None:
+                            w_coord.grad = np.zeros_like(w_coord.grad)
+                        elif step % 2 == 0 and w_color.grad is not None:
+                            w_color.grad = np.zeros_like(w_color.grad)
+
                 distance_vals = np.asarray(distance.data, dtype=np.float64)
                 adversarial_vals = np.asarray(adversarial.data, dtype=np.float64)
                 total_vals = np.asarray(total.data, dtype=np.float64)
@@ -254,9 +263,8 @@ class NormUnboundedAttack:
                 for b in range(batch):
                     if not active[b]:
                         continue
-                    scene_targets = None if target_labels is None else target_labels[b]
                     gain = self.check.gain(predictions[b], labels[b],
-                                           scene_targets, mask[b])
+                                           targets[b], mask[b])
                     adversarial_loss = float(adversarial_vals[b])
                     total_loss = float(total_vals[b])
                     histories[b].append({
@@ -287,8 +295,7 @@ class NormUnboundedAttack:
                         plateau[b] += 1
                     best_total_loss[b] = min(best_total_loss[b], total_loss)
 
-                    if self.check.converged(predictions[b], labels[b],
-                                            scene_targets, mask[b]):
+                    if converges[b]:
                         converged[b] = True
                         active[b] = False
                         if tracer.enabled:
@@ -304,7 +311,11 @@ class NormUnboundedAttack:
                             w.data[b] += noise
                         plateau[b] = 0
 
-                if not active.any():
+                if not reads_gradient:
+                    # The graph the skipped backward would have consumed is
+                    # still held here: drop it before build_result's
+                    # reporting forwards allocate theirs.
+                    logits = raw_logits = adversarial = smooth = total = None
                     break
 
                 optimizer.step()

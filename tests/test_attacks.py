@@ -16,8 +16,11 @@ from repro.core import (
     run_attack_batch,
     run_attack_on_arrays,
 )
-from repro.datasets import prepare_scene
+from repro.core.convergence import ConvergenceCheck
+from repro.datasets import generate_room_scene, prepare_scene
 from repro.datasets.s3dis import CLASS_INDEX
+from repro.models import build_model
+from repro.nn import Tensor
 
 
 WALL = CLASS_INDEX["wall"]
@@ -259,3 +262,95 @@ class TestAttackResult:
                                 _fast(objective="degradation", method="unbounded",
                                       field="coordinate", unbounded_steps=30))
         assert color.outcome.accuracy < coordinate.outcome.accuracy
+
+
+# ---------------------------------------------------------------------- #
+# A step runs its backward only when a later step reads the gradient
+# ---------------------------------------------------------------------- #
+@pytest.fixture()
+def backward_calls(monkeypatch):
+    calls = []
+    original = Tensor.backward
+
+    def counted(self, grad=None):
+        calls.append(self.shape)
+        return original(self, grad)
+    monkeypatch.setattr(Tensor, "backward", counted)
+    return calls
+
+
+def script_convergence(monkeypatch, steps):
+    """Make ``Converge(·)`` fire for scene ``b`` from step ``steps[b]`` on.
+
+    The engines ask once per step for each scene still attacking, in scene
+    order, so a scene's n-th question is its step n.  Scenes are told apart
+    by their labels, numbered in the order step 1 asks for them.
+    """
+    seen = {}
+
+    def converged(self, prediction, labels, target_labels, target_mask):
+        scene = seen.setdefault(np.asarray(labels).tobytes(), [len(seen), 0])
+        scene[1] += 1
+        return scene[1] >= steps[scene[0]]
+    monkeypatch.setattr(ConvergenceCheck, "converged", converged)
+
+
+@pytest.fixture(scope="module")
+def small_victim():
+    model = build_model("pointnet2", num_classes=13, hidden=16, seed=0)
+    model.eval()
+    return model
+
+
+@pytest.fixture(scope="module")
+def two_scenes():
+    rng = np.random.default_rng(3)
+    scenes = [generate_room_scene(num_points=96, room_type="office", rng=rng,
+                                  name=f"skip_{i}") for i in range(2)]
+    assert not np.array_equal(scenes[0].labels, scenes[1].labels)
+    return scenes
+
+
+def _skip_config(method, **overrides):
+    return AttackConfig.fast(method=method, field="both", unbounded_steps=6,
+                             bounded_steps=6, smoothness_alpha=4,
+                             min_impact_points=16, seed=2, **overrides)
+
+
+class TestSkippedBackward:
+    def test_unbounded_last_step_skips_its_backward(
+            self, small_victim, two_scenes, backward_calls):
+        result = run_attack(small_victim, two_scenes[0],
+                            _skip_config("unbounded", target_accuracy=-1.0))
+        assert result.iterations == 6 and not result.converged
+        assert len(backward_calls) == 5
+
+    def test_bounded_last_step_runs_its_backward(
+            self, small_victim, two_scenes, backward_calls):
+        """The last sign step moves the returned cloud."""
+        result = run_attack(small_victim, two_scenes[0],
+                            _skip_config("bounded", target_accuracy=-1.0))
+        assert result.iterations == 6 and not result.converged
+        assert len(backward_calls) == 6
+
+    @pytest.mark.parametrize("method", ["bounded", "unbounded"])
+    def test_converging_step_skips_its_backward(
+            self, method, small_victim, two_scenes, backward_calls,
+            monkeypatch):
+        script_convergence(monkeypatch, [3])
+        result = run_attack(small_victim, two_scenes[0], _skip_config(method))
+        assert result.iterations == 3 and result.converged
+        assert len(backward_calls) == 2
+
+    @pytest.mark.parametrize("method", ["bounded", "unbounded"])
+    def test_batch_step_runs_backward_while_a_scene_attacks(
+            self, method, small_victim, two_scenes, backward_calls,
+            monkeypatch):
+        """Scene 0 converges at step 2, scene 1 at step 4: step 2's
+        gradient still moves scene 1, step 4's moves nothing."""
+        script_convergence(monkeypatch, [2, 4])
+        results = run_attack_batch(small_victim, two_scenes,
+                                   _skip_config(method, batch_scenes=2))
+        assert [r.iterations for r in results] == [2, 4]
+        assert all(r.converged for r in results)
+        assert len(backward_calls) == 3
