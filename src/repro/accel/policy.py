@@ -63,8 +63,9 @@ class ComputePolicy:
     def is_exact(self) -> bool:
         """Whether the per-operation arithmetic matches the seed bit-for-bit.
 
-        This gates the fast-math rewrites (fused BatchNorm eval, split-weight
-        EdgeConv).  Full seed-identical attack trajectories additionally need
+        This gates the fast-math rewrites: the folded BatchNorm eval,
+        ResGCN's projection-first EdgeConv and the closed-form softmax VJP.
+        Full seed-identical attack trajectories additionally need
         ``smoothness_neighbors == "current"`` in the unbounded engine.
         """
         return self.dtype == np.dtype(np.float64) and self.neighbor_refresh == 1

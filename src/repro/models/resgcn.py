@@ -44,21 +44,24 @@ class EdgeConvBlock:
         self.mlp = SharedMLP([2 * channels, channels], rng=rng)
 
     def __call__(self, features: Tensor, neighbor_idx: np.ndarray) -> Tensor:
-        neighbours = gather_points(features, neighbor_idx)           # (B, N, K, C)
-        center = features.expand_dims(2)                             # (B, N, 1, C)
-        diff = neighbours - center
         linear, norm, _ = self.mlp.body.children_list
         if current_policy().is_exact:
+            neighbours = gather_points(features, neighbor_idx)       # (B, N, K, C)
+            center = features.expand_dims(2)                         # (B, N, 1, C)
+            diff = neighbours - center
             center_tiled = center.broadcast_to(neighbours.shape)     # view, no copy
             pre = concatenate([center_tiled, diff], axis=-1) @ linear.weight
         else:
-            # Fast-math: split the first Linear's weight over the two halves
-            # of the edge vector — ``[x_i, x_j - x_i] @ W`` becomes
-            # ``x_i @ W_top + (x_j - x_i) @ W_bot`` — so the (B, N, K, 2C)
-            # edge tensor is never materialised and the centre half of the
-            # product runs on 1/K of the data.
-            pre = (center @ linear.weight[: self.channels]
-                   + diff @ linear.weight[self.channels:])
+            # Fast-math: project before gathering.  With the first
+            # Linear's weight split over the halves of the edge vector,
+            # ``[x_i, x_j - x_i] @ W = x_j @ W_bot + x_i @ (W_top - W_bot)``:
+            # both products run on the (B, N, C) points, and only their
+            # sum is (B, N, K, C) — neither the neighbour features nor
+            # their difference is ever built.
+            top = linear.weight[: self.channels]
+            bottom = linear.weight[self.channels:]
+            pre = (gather_points(features @ bottom, neighbor_idx)
+                   + (features @ (top - bottom)).expand_dims(2))
         # Bias, BatchNorm, ReLU and the neighbour max: one fused op when frozen.
         return features + bias_bn_relu_max(pre, linear.bias, norm, axis=2)
 

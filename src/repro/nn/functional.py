@@ -7,7 +7,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..accel.cache import neighborhoods
-from ..accel.policy import compute_dtype
+from ..accel.policy import compute_dtype, current_policy
 from ..geometry.knn import query_workers
 from .ops import OPS
 from .tensor import (Tensor, _apply, as_tensor, detached_max, gather_points,
@@ -18,14 +18,19 @@ def softmax(logits: Tensor, axis: int = -1,
             scale: Optional[float] = None) -> Tensor:
     """Numerically stable softmax of ``logits * scale`` along ``axis``.
 
-    One fused registry op (``OPS["softmax"]``).  It computes the same bits
-    as the composite ``shifted = x * scale - max(x * scale)``,
-    ``exp(shifted) / exp(shifted).sum(axis)`` chain, with and without
-    autograd, but runs it one cache-sized block of rows at a time and keeps
-    none of the chain's intermediates for the backward pass.
+    One fused registry op (``OPS["softmax"]``).  Its forward computes the
+    same bits as the composite ``shifted = x * scale - max(x * scale)``,
+    ``exp(shifted) / exp(shifted).sum(axis)`` chain, but runs it one
+    cache-sized block of rows at a time and keeps none of the chain's
+    intermediates for the backward pass.  Under the exact policy the
+    backward recomputes each block's ``exp`` and gives the composite's
+    gradient bit for bit; under the fast policy (chosen here, when the op
+    is built) it is the closed form ``scale · y · (g − Σ g·y)`` over the
+    output ``y`` the node already holds.
     """
     params = {"axis": axis, "scale": None if scale is None
-              else np.asarray(scale, dtype=compute_dtype())}
+              else np.asarray(scale, dtype=compute_dtype()),
+              "closed_form": not current_policy().is_exact}
     return _apply(OPS["softmax"], (as_tensor(logits),), params)
 
 

@@ -677,12 +677,33 @@ def _softmax_fwd(inputs, params):
     return out
 
 
+def _softmax_closed_form_vjp(grad, out, scale, axis):
+    """``scale · y · (g − Σ g·y)`` per row block, from the output ``y``."""
+    dtype = np.result_type(grad, out)
+    result = np.empty(out.shape, dtype=dtype if scale is None
+                      else np.result_type(dtype, scale))
+    ys, grads = _rows_view(out, axis), _rows_view(grad, axis)
+    dest = _rows_view(result, axis)
+    for start, stop, (t,) in _row_blocks(ys, dtype):
+        y, g = ys[start:stop], grads[start:stop]
+        np.multiply(g, y, out=t)
+        np.subtract(g, t.sum(axis=1, keepdims=True), out=t)
+        if scale is None:
+            np.multiply(t, y, out=dest[start:stop])
+        else:
+            np.multiply(t, y, out=t)
+            np.multiply(t, scale, out=dest[start:stop])
+    return result
+
+
 def _softmax_vjp(grad, out, inputs, params, needs):
-    # The composite's VJPs in its backward order: div (numerator, then the
-    # denominator summed over the axis), sum's broadcast added to the
-    # numerator branch, exp, then the scale's mul.
+    # Exact policy: the composite's VJPs in its backward order: div
+    # (numerator, then the denominator summed over the axis), sum's
+    # broadcast added to the numerator branch, exp, then the scale's mul.
     x = inputs[0]
     axis, scale = params["axis"], params["scale"]
+    if params["closed_form"]:
+        return (_softmax_closed_form_vjp(grad, out, scale, axis),)
     dtype = np.result_type(grad, x)
     result = np.empty(x.shape, dtype=dtype if scale is None
                       else np.result_type(dtype, scale))
@@ -705,7 +726,8 @@ def _softmax_vjp(grad, out, inputs, params, needs):
     return (result,)
 
 
-# Softmax of ``x · scale`` (``scale`` a 0-d array or None) along ``axis``.
+# Softmax of ``x · scale`` (``scale`` a 0-d array or None) along ``axis``;
+# ``closed_form`` picks the fast policy's VJP.
 register("softmax", _softmax_fwd, _softmax_vjp)
 
 

@@ -57,7 +57,10 @@ from .hashing import canonical_json, revive
 #: hash changes; payloads themselves are unchanged.
 #: v5: payloads are canonical JSON instead of pickle, and every entry has
 #: a checksummed sidecar (an entry without one is quarantined).
-STORE_FORMAT_VERSION = 5
+#: v6: the fast policy runs ResGCN's EdgeConv projection-first and takes
+#: the closed-form softmax VJP (PCT, RandLA-Net), which moves fast-mode
+#: trajectories by low-order bits; exact-policy arithmetic is unchanged.
+STORE_FORMAT_VERSION = 6
 
 
 _KEY = re.compile(r"[0-9a-f]{64}")

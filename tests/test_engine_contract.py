@@ -253,14 +253,15 @@ class TestStoreSalt:
 
     def test_graph_capture_excluded(self):
         """The removed execution knobs leave no trace in the salt, and the
-        store format is at 5 (canonical JSON payloads), so every content
-        hash differs from the pickle era's."""
+        store format is at 6 (canonical JSON payloads since 5, fast-policy
+        arithmetic of 6), so every content hash differs from the pickle
+        era's."""
         salt = config_salt(ExperimentConfig.default())
         for knob in ("graph_capture", "tensor_backend"):
             assert knob not in salt["config"]
             assert knob not in salt["config"]["compute_policy"]
             assert knob not in repr(salt)
-        assert salt["store_format"] == STORE_FORMAT_VERSION == 5
+        assert salt["store_format"] == STORE_FORMAT_VERSION == 6
 
     def test_semantic_knobs_participate(self):
         base = config_salt(ExperimentConfig.default())

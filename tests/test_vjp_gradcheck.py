@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 from test_tensor import numeric_gradient
 
+from repro.accel import ComputePolicy, use_policy
 from repro.nn import (OPS, BatchNorm, Tensor, bias_bn_relu_max, concatenate,
                       gather_points, maximum, softmax, stack, where)
 from repro.nn.graph import GraphRecorder, recording
@@ -140,6 +141,21 @@ def test_cases_cover_every_op_with_a_vjp():
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_vjp_matches_finite_differences(name):
     rng = np.random.default_rng(sorted(CASES).index(name))
+    check_vjp(name, rng)
+
+
+def test_closed_form_softmax_vjp_matches_finite_differences():
+    """The fast policy's softmax VJP, ``scale · y · (g − Σ g·y)``, checked
+    in float64 under a non-exact policy."""
+    with use_policy(ComputePolicy(dtype=np.float64, neighbor_refresh=5)):
+        nodes = check_vjp("softmax", np.random.default_rng(0))
+    assert all(node.params["closed_form"] for node in nodes
+               if node.op.name == "softmax")
+
+
+def check_vjp(name, rng):
+    """Case ``name``'s input gradients against central differences;
+    returns the recorded graph nodes."""
     build, inputs = CASES[name](rng)
     assert all(x.dtype == np.float64 for x in inputs)
     tensors = [Tensor(x.copy(), requires_grad=True) for x in inputs]
@@ -162,3 +178,4 @@ def test_vjp_matches_finite_differences(name):
         np.testing.assert_allclose(tensors[i].grad, expected,
                                    rtol=1e-5, atol=1e-6,
                                    err_msg=f"{name}: input {i}")
+    return recorder.order
