@@ -42,7 +42,8 @@ def farthest_point_sampling(points: np.ndarray, num_samples: int,
         selected[i] = int(np.argmax(min_d2))
         d2 = np.sum((points - points[selected[i]]) ** 2, axis=1)
         min_d2 = np.minimum(min_d2, d2)
-        min_d2[selected[: i + 1]] = -np.inf
+        # Earlier picks stay -inf through np.minimum; mask the new one.
+        min_d2[selected[i]] = -np.inf
     return selected
 
 
