@@ -677,51 +677,39 @@ def _softmax_fwd(inputs, params):
     return out
 
 
-def _softmax_closed_form_vjp(grad, out, scale, axis):
-    """``scale · y · (g − Σ g·y)`` per row block, from the output ``y``."""
-    dtype = np.result_type(grad, out)
-    result = np.empty(out.shape, dtype=dtype if scale is None
-                      else np.result_type(dtype, scale))
-    ys, grads = _rows_view(out, axis), _rows_view(grad, axis)
-    dest = _rows_view(result, axis)
-    for start, stop, (t,) in _row_blocks(ys, dtype):
-        y, g = ys[start:stop], grads[start:stop]
-        np.multiply(g, y, out=t)
-        np.subtract(g, t.sum(axis=1, keepdims=True), out=t)
-        if scale is None:
-            np.multiply(t, y, out=dest[start:stop])
-        else:
-            np.multiply(t, y, out=t)
-            np.multiply(t, scale, out=dest[start:stop])
-    return result
-
-
 def _softmax_vjp(grad, out, inputs, params, needs):
-    # Exact policy: the composite's VJPs in its backward order: div
-    # (numerator, then the denominator summed over the axis), sum's
-    # broadcast added to the numerator branch, exp, then the scale's mul.
     x = inputs[0]
     axis, scale = params["axis"], params["scale"]
-    if params["closed_form"]:
-        return (_softmax_closed_form_vjp(grad, out, scale, axis),)
     dtype = np.result_type(grad, x)
     result = np.empty(x.shape, dtype=dtype if scale is None
                       else np.result_type(dtype, scale))
     rows, grads = _rows_view(x, axis), _rows_view(grad, axis)
-    dest = _rows_view(result, axis)
+    outs, dest = _rows_view(out, axis), _rows_view(result, axis)
     for start, stop, (buf, t) in _row_blocks(rows, x.dtype, dtype):
-        exp, total = _shifted_exp(rows[start:stop], scale, buf)
         g = grads[start:stop]
-        np.negative(g, out=t)
-        np.multiply(t, exp, out=t)
-        np.divide(t, total ** 2, out=t)
-        total_grad = t.sum(axis=1, keepdims=True)
-        np.divide(g, total, out=t)
-        np.add(t, total_grad, out=t)
-        if scale is None:
-            np.multiply(t, exp, out=dest[start:stop])
+        if params["closed_form"]:
+            # Fast policy: the closed form ``scale · y · (g − Σ g·y)`` over
+            # the output ``y``; the products with ``y`` and ``scale`` are
+            # the tail below.
+            y = outs[start:stop]
+            np.multiply(g, y, out=t)
+            np.subtract(g, t.sum(axis=1, keepdims=True), out=t)
         else:
-            np.multiply(t, exp, out=t)
+            # The composite's VJPs in its backward order: div (numerator,
+            # then the denominator summed over the axis) and sum's
+            # broadcast added to the numerator branch here, then exp and
+            # the scale's mul in the tail below.
+            y, total = _shifted_exp(rows[start:stop], scale, buf)
+            np.negative(g, out=t)
+            np.multiply(t, y, out=t)
+            np.divide(t, total ** 2, out=t)
+            total_grad = t.sum(axis=1, keepdims=True)
+            np.divide(g, total, out=t)
+            np.add(t, total_grad, out=t)
+        if scale is None:
+            np.multiply(t, y, out=dest[start:stop])
+        else:
+            np.multiply(t, y, out=t)
             np.multiply(t, scale, out=dest[start:stop])
     return (result,)
 
