@@ -55,9 +55,9 @@ class EdgeConvBlock:
             # Fast-math: project before gathering.  With the first
             # Linear's weight split over the halves of the edge vector,
             # ``[x_i, x_j - x_i] @ W = x_j @ W_bot + x_i @ (W_top - W_bot)``:
-            # both products run on the (B, N, C) points, and only their
-            # sum is (B, N, K, C) — neither the neighbour features nor
-            # their difference is ever built.
+            # both products run on the (B, N, C) points, the gathered
+            # product and the sum are the only (B, N, K, C) tensors, and
+            # neither the neighbour features nor their difference is built.
             top = linear.weight[: self.channels]
             bottom = linear.weight[self.channels:]
             pre = (gather_points(features @ bottom, neighbor_idx)
