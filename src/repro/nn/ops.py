@@ -17,6 +17,13 @@ one entry per input, ``None`` for inputs whose gradient is not needed.  The
 arithmetic inside each VJP is copied verbatim from the historical per-op
 closures (including every :func:`_unbroadcast` application), so gradients are
 bitwise identical to the pre-table engine.
+
+Each op also says which values its VJP reads: ``save(out, inputs, params,
+needs) -> (out, inputs)`` returns them with every value the VJP does not
+read replaced by a :class:`Standin`, which carries only the array's shape,
+dtype and ndim.  The autograd tape keeps what ``save`` returns until the
+backward pass reaches the op, so an activation no VJP reads is freed with
+its tensor.
 """
 
 from __future__ import annotations
@@ -73,6 +80,57 @@ def _fast_max(data: np.ndarray, axis: int) -> np.ndarray:
     return data
 
 
+class Standin:
+    """What a VJP receives in place of an array its op did not save.
+
+    It carries the array's ``shape``, ``dtype`` and ``ndim`` and nothing
+    else: NumPy functions, ufuncs, arithmetic and comparisons on it raise
+    ``TypeError``, so a ``save`` rule that drops a value its VJP reads
+    fails loudly instead of computing with an object array.
+    """
+
+    __slots__ = ("shape", "dtype", "ndim")
+    __array_ufunc__ = None          # ufuncs and ndarray operators refuse it
+
+    def __init__(self, array) -> None:
+        self.shape = array.shape
+        self.dtype = array.dtype
+        self.ndim = array.ndim
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a VJP read the values of an array its op's save "
+                        "rule did not keep")
+
+    __array__ = __array_function__ = __eq__ = __ne__ = __bool__ = _refuse
+    __hash__ = None
+
+
+# Save rules (see the module docstring): each returns ``(out, inputs)`` as
+# the VJP will receive them.
+def _save_all(out, inputs, params, needs):
+    return out, inputs
+
+
+def _save_nothing(out, inputs, params, needs):
+    return Standin(out), tuple(map(Standin, inputs))
+
+
+def _save_inputs(out, inputs, params, needs):
+    return Standin(out), inputs
+
+
+def _save_output(out, inputs, params, needs):
+    return out, (Standin(inputs[0]),)
+
+
+def _save_partners(out, inputs, params, needs):
+    """Each operand only when the other one needs a gradient (``mul`` and
+    ``matmul``): with frozen weights the activation is not kept."""
+    a, b = inputs
+    return Standin(out), (a if needs[1] else Standin(a),
+                          b if needs[0] else Standin(b))
+
+
 class OpDef:
     """One registry entry: forward kernel, VJP, and compiler metadata.
 
@@ -82,6 +140,10 @@ class OpDef:
         Registry key; also the op's row label in the profiler.
     forward / vjp:
         The kernels (see module docstring for the VJP convention).
+    save:
+        ``(out, inputs, params, needs) -> (out, inputs)``: the values the
+        VJP reads, every other one a :class:`Standin` (module docstring).
+        Defaults to keeping everything.
     differentiable:
         ``False`` marks data-dependent-constant ops (e.g. the log-softmax shift):
         they are recorded in captured graphs so replay recomputes them, but no
@@ -96,15 +158,16 @@ class OpDef:
         ``out=`` is guaranteed bitwise-identical to fresh allocation.
     """
 
-    __slots__ = ("name", "forward", "vjp", "differentiable", "returns_view",
-                 "forward_out")
+    __slots__ = ("name", "forward", "vjp", "save", "differentiable",
+                 "returns_view", "forward_out")
 
     def __init__(self, name: str, forward: Forward, vjp: Optional[Vjp],
-                 *, differentiable: bool = True, returns_view: bool = False,
-                 forward_out=None) -> None:
+                 *, save=_save_all, differentiable: bool = True,
+                 returns_view: bool = False, forward_out=None) -> None:
         self.name = name
         self.forward = forward
         self.vjp = vjp
+        self.save = save
         self.differentiable = differentiable
         self.returns_view = returns_view
         self.forward_out = forward_out
@@ -143,7 +206,8 @@ def _add_vjp(grad, out, inputs, params, needs):
     )
 
 
-register("add", _add_fwd, _add_vjp, forward_out=_add_out)
+register("add", _add_fwd, _add_vjp, save=_save_nothing,
+         forward_out=_add_out)
 
 
 def _neg_fwd(inputs, params):
@@ -158,7 +222,8 @@ def _neg_vjp(grad, out, inputs, params, needs):
     return (-grad,)
 
 
-register("neg", _neg_fwd, _neg_vjp, forward_out=_neg_out)
+register("neg", _neg_fwd, _neg_vjp, save=_save_nothing,
+         forward_out=_neg_out)
 
 
 def _mul_fwd(inputs, params):
@@ -177,7 +242,8 @@ def _mul_vjp(grad, out, inputs, params, needs):
     )
 
 
-register("mul", _mul_fwd, _mul_vjp, forward_out=_mul_out)
+register("mul", _mul_fwd, _mul_vjp, save=_save_partners,
+         forward_out=_mul_out)
 
 
 def _div_fwd(inputs, params):
@@ -196,7 +262,13 @@ def _div_vjp(grad, out, inputs, params, needs):
     )
 
 
-register("div", _div_fwd, _div_vjp, forward_out=_div_out)
+def _div_save(out, inputs, params, needs):
+    # ``b`` for both gradients, ``a`` only for ``b``'s.
+    a, b = inputs
+    return Standin(out), (a if needs[1] else Standin(a), b)
+
+
+register("div", _div_fwd, _div_vjp, save=_div_save, forward_out=_div_out)
 
 
 def _pow_fwd(inputs, params):
@@ -208,7 +280,7 @@ def _pow_vjp(grad, out, inputs, params, needs):
     return (grad * exponent * inputs[0] ** (exponent - 1),)
 
 
-register("pow", _pow_fwd, _pow_vjp)
+register("pow", _pow_fwd, _pow_vjp, save=_save_inputs)
 
 
 def _matmul_fwd(inputs, params):
@@ -225,7 +297,7 @@ def _matmul_vjp(grad, out, inputs, params, needs):
     return (grad_a, grad_b)
 
 
-register("matmul", _matmul_fwd, _matmul_vjp)
+register("matmul", _matmul_fwd, _matmul_vjp, save=_save_partners)
 
 
 # ---------------------------------------------------------------------- #
@@ -243,7 +315,8 @@ def _exp_vjp(grad, out, inputs, params, needs):
     return (grad * out,)
 
 
-register("exp", _exp_fwd, _exp_vjp, forward_out=_exp_out)
+register("exp", _exp_fwd, _exp_vjp, save=_save_output,
+         forward_out=_exp_out)
 
 
 def _log_fwd(inputs, params):
@@ -258,7 +331,8 @@ def _log_vjp(grad, out, inputs, params, needs):
     return (grad / inputs[0],)
 
 
-register("log", _log_fwd, _log_vjp, forward_out=_log_out)
+register("log", _log_fwd, _log_vjp, save=_save_inputs,
+         forward_out=_log_out)
 
 
 def _sqrt_fwd(inputs, params):
@@ -279,7 +353,8 @@ def _sqrt_vjp(grad, out, inputs, params, needs):
     return (grad * 0.5 / np.maximum(out, floor),)
 
 
-register("sqrt", _sqrt_fwd, _sqrt_vjp, forward_out=_sqrt_out)
+register("sqrt", _sqrt_fwd, _sqrt_vjp, save=_save_output,
+         forward_out=_sqrt_out)
 
 
 def _tanh_fwd(inputs, params):
@@ -294,7 +369,8 @@ def _tanh_vjp(grad, out, inputs, params, needs):
     return (grad * (1.0 - out ** 2),)
 
 
-register("tanh", _tanh_fwd, _tanh_vjp, forward_out=_tanh_out)
+register("tanh", _tanh_fwd, _tanh_vjp, save=_save_output,
+         forward_out=_tanh_out)
 
 
 def _sigmoid_fwd(inputs, params):
@@ -305,7 +381,7 @@ def _sigmoid_vjp(grad, out, inputs, params, needs):
     return (grad * out * (1.0 - out),)
 
 
-register("sigmoid", _sigmoid_fwd, _sigmoid_vjp)
+register("sigmoid", _sigmoid_fwd, _sigmoid_vjp, save=_save_output)
 
 
 def _relu_fwd(inputs, params):
@@ -317,7 +393,7 @@ def _relu_vjp(grad, out, inputs, params, needs):
     return (grad * (inputs[0] > 0),)
 
 
-register("relu", _relu_fwd, _relu_vjp)
+register("relu", _relu_fwd, _relu_vjp, save=_save_inputs)
 
 
 def _leaky_relu_fwd(inputs, params):
@@ -330,7 +406,7 @@ def _leaky_relu_vjp(grad, out, inputs, params, needs):
     return (grad * np.where(x > 0, 1.0, params["negative_slope"]),)
 
 
-register("leaky_relu", _leaky_relu_fwd, _leaky_relu_vjp)
+register("leaky_relu", _leaky_relu_fwd, _leaky_relu_vjp, save=_save_inputs)
 
 
 def _abs_fwd(inputs, params):
@@ -345,7 +421,8 @@ def _abs_vjp(grad, out, inputs, params, needs):
     return (grad * np.sign(inputs[0]),)
 
 
-register("abs", _abs_fwd, _abs_vjp, forward_out=_abs_out)
+register("abs", _abs_fwd, _abs_vjp, save=_save_inputs,
+         forward_out=_abs_out)
 
 
 def _clip_fwd(inputs, params):
@@ -358,7 +435,7 @@ def _clip_vjp(grad, out, inputs, params, needs):
     return (grad * mask,)
 
 
-register("clip", _clip_fwd, _clip_vjp)
+register("clip", _clip_fwd, _clip_vjp, save=_save_inputs)
 
 
 # ---------------------------------------------------------------------- #
@@ -384,7 +461,7 @@ def _sum_vjp(grad, out, inputs, params, needs):
     return (np.broadcast_to(g, x.shape),)
 
 
-register("sum", _sum_fwd, _sum_vjp)
+register("sum", _sum_fwd, _sum_vjp, save=_save_nothing)
 
 
 def _max_fwd(inputs, params):
@@ -419,7 +496,7 @@ def _max_vjp(grad, out, inputs, params, needs):
     return (mask * g / counts,)
 
 
-register("max", _max_fwd, _max_vjp)
+register("max", _max_fwd, _max_vjp, save=_save_all)
 
 
 def _detached_max_fwd(inputs, params):
@@ -444,7 +521,8 @@ def _reshape_vjp(grad, out, inputs, params, needs):
     return (grad.reshape(inputs[0].shape),)
 
 
-register("reshape", _reshape_fwd, _reshape_vjp, returns_view=True)
+register("reshape", _reshape_fwd, _reshape_vjp, save=_save_nothing,
+         returns_view=True)
 
 
 def _transpose_fwd(inputs, params):
@@ -455,7 +533,8 @@ def _transpose_vjp(grad, out, inputs, params, needs):
     return (grad.transpose(params["inverse"]),)
 
 
-register("transpose", _transpose_fwd, _transpose_vjp, returns_view=True)
+register("transpose", _transpose_fwd, _transpose_vjp, save=_save_nothing,
+         returns_view=True)
 
 
 def _broadcast_to_fwd(inputs, params):
@@ -469,7 +548,7 @@ def _broadcast_to_vjp(grad, out, inputs, params, needs):
 
 
 register("broadcast_to", _broadcast_to_fwd, _broadcast_to_vjp,
-         returns_view=True)
+         save=_save_nothing, returns_view=True)
 
 
 def _expand_dims_fwd(inputs, params):
@@ -480,7 +559,8 @@ def _expand_dims_vjp(grad, out, inputs, params, needs):
     return (np.squeeze(grad, axis=params["axis"]),)
 
 
-register("expand_dims", _expand_dims_fwd, _expand_dims_vjp, returns_view=True)
+register("expand_dims", _expand_dims_fwd, _expand_dims_vjp,
+         save=_save_nothing, returns_view=True)
 
 
 def _squeeze_fwd(inputs, params):
@@ -491,7 +571,8 @@ def _squeeze_vjp(grad, out, inputs, params, needs):
     return (np.expand_dims(grad, axis=params["axis"]),)
 
 
-register("squeeze", _squeeze_fwd, _squeeze_vjp, returns_view=True)
+register("squeeze", _squeeze_fwd, _squeeze_vjp, save=_save_nothing,
+         returns_view=True)
 
 
 def _getitem_fwd(inputs, params):
@@ -499,12 +580,14 @@ def _getitem_fwd(inputs, params):
 
 
 def _getitem_vjp(grad, out, inputs, params, needs):
-    full = np.zeros_like(inputs[0])
+    x = inputs[0]
+    full = np.zeros(x.shape, dtype=x.dtype)
     np.add.at(full, params["index"], grad)
     return (full,)
 
 
-register("getitem", _getitem_fwd, _getitem_vjp, returns_view=True)
+register("getitem", _getitem_fwd, _getitem_vjp, save=_save_nothing,
+         returns_view=True)
 
 
 # ---------------------------------------------------------------------- #
@@ -530,7 +613,8 @@ def _concatenate_vjp(grad, out, inputs, params, needs):
     return tuple(pieces)
 
 
-register("concatenate", _concatenate_fwd, _concatenate_vjp)
+register("concatenate", _concatenate_fwd, _concatenate_vjp,
+         save=_save_nothing)
 
 
 def _stack_fwd(inputs, params):
@@ -544,7 +628,7 @@ def _stack_vjp(grad, out, inputs, params, needs):
                  for piece, need in zip(pieces, needs))
 
 
-register("stack", _stack_fwd, _stack_vjp)
+register("stack", _stack_fwd, _stack_vjp, save=_save_nothing)
 
 
 def _maximum_fwd(inputs, params):
@@ -560,7 +644,7 @@ def _maximum_vjp(grad, out, inputs, params, needs):
     )
 
 
-register("maximum", _maximum_fwd, _maximum_vjp)
+register("maximum", _maximum_fwd, _maximum_vjp, save=_save_inputs)
 
 
 def _where_fwd(inputs, params):
@@ -576,7 +660,7 @@ def _where_vjp(grad, out, inputs, params, needs):
     )
 
 
-register("where", _where_fwd, _where_vjp)
+register("where", _where_fwd, _where_vjp, save=_save_nothing)
 
 
 def _gather_points_fwd(inputs, params):
@@ -606,7 +690,8 @@ def _gather_points_vjp(grad, out, inputs, params, needs):
     return (np.ascontiguousarray(full.T).reshape(features.shape),)
 
 
-register("gather_points", _gather_points_fwd, _gather_points_vjp)
+register("gather_points", _gather_points_fwd, _gather_points_vjp,
+         save=_save_nothing)
 
 
 # ---------------------------------------------------------------------- #
@@ -680,18 +765,20 @@ def _softmax_fwd(inputs, params):
 def _softmax_vjp(grad, out, inputs, params, needs):
     x = inputs[0]
     axis, scale = params["axis"], params["scale"]
-    dtype = np.result_type(grad, x)
+    closed_form = params["closed_form"]
+    dtype = np.result_type(grad, x.dtype)
     result = np.empty(x.shape, dtype=dtype if scale is None
                       else np.result_type(dtype, scale))
-    rows, grads = _rows_view(x, axis), _rows_view(grad, axis)
-    outs, dest = _rows_view(out, axis), _rows_view(result, axis)
+    # The output under the closed form, else the input: the array saved.
+    rows = _rows_view(out if closed_form else x, axis)
+    grads, dest = _rows_view(grad, axis), _rows_view(result, axis)
     for start, stop, (buf, t) in _row_blocks(rows, x.dtype, dtype):
         g = grads[start:stop]
-        if params["closed_form"]:
+        if closed_form:
             # Fast policy: the closed form ``scale · y · (g − Σ g·y)`` over
             # the output ``y``; the products with ``y`` and ``scale`` are
             # the tail below.
-            y = outs[start:stop]
+            y = rows[start:stop]
             np.multiply(g, y, out=t)
             np.subtract(g, t.sum(axis=1, keepdims=True), out=t)
         else:
@@ -714,9 +801,15 @@ def _softmax_vjp(grad, out, inputs, params, needs):
     return (result,)
 
 
+def _softmax_save(out, inputs, params, needs):
+    if params["closed_form"]:
+        return out, (Standin(inputs[0]),)
+    return Standin(out), inputs
+
+
 # Softmax of ``x · scale`` (``scale`` a 0-d array or None) along ``axis``;
 # ``closed_form`` picks the fast policy's VJP.
-register("softmax", _softmax_fwd, _softmax_vjp)
+register("softmax", _softmax_fwd, _softmax_vjp, save=_softmax_save)
 
 
 def _channel_chain(y: np.ndarray, steps, buf: np.ndarray):
@@ -776,8 +869,8 @@ def _bn_relu_max_vjp(grad, out, inputs, params, needs):
 # ``relu(y ∘ steps).max(axis)``: bias, eval-mode BatchNorm, ReLU and the
 # neighbour max of a pooled Linear → BatchNorm → ReLU tail; ``steps`` are
 # ``(np.add | np.multiply | np.divide, constant)`` pairs.
-register("bn_relu_max", _bn_relu_max_fwd, _bn_relu_max_vjp)
+register("bn_relu_max", _bn_relu_max_fwd, _bn_relu_max_vjp, save=_save_all)
 
 
-__all__ = ["OpDef", "OPS", "register", "_unbroadcast", "_fast_max",
+__all__ = ["OpDef", "OPS", "Standin", "register", "_unbroadcast", "_fast_max",
            "BLOCK_ELEMENTS"]

@@ -7,9 +7,15 @@ engine: every operation is declared once in the :mod:`repro.nn.ops` registry
 Tensor method is a thin wrapper that routes through the :func:`_apply`
 chokepoint.  :meth:`Tensor.backward` walks the recorded graph in reverse
 topological order accumulating gradients, and consumes it as it goes: only
-leaves keep ``.grad``, so call it once per forward.  An output that needs no
-gradient records no parents, so a gradient-free forward frees each
-intermediate as soon as nothing else holds it.
+leaves keep ``.grad``, so call it once per forward.
+
+The graph links nodes, not tensors.  An op output that needs a gradient gets
+a :class:`_Node` holding its backward closure, the gradient targets of its
+inputs (their nodes, or the leaf tensors themselves) and the gradient
+reaching it; an output that needs none gets no node.  The closure keeps only
+the values the op's VJP reads (:attr:`OpDef.save <repro.nn.ops.OpDef>`;
+every other value reaches the VJP as a :class:`~repro.nn.ops.Standin`), so
+a tensor's ``.data`` is freed with the tensor unless a closure saved it.
 
 Routing everything through one chokepoint is what makes graph capture
 (:mod:`repro.nn.graph`) possible: when a recorder is active, ``_apply``
@@ -57,29 +63,32 @@ def _apply(op: OpDef, inputs: Tuple["Tensor", ...], params: dict) -> "Tensor":
     """Execute one registry op eagerly and (optionally) record it.
 
     This is the single construction path for every op-producing tensor: it
-    runs the registered forward kernel, builds the table-driven backward
-    closure (skipping parents that do not require gradients, exactly like the
-    historical per-op closures), and notifies the active graph recorder.
+    runs the registered forward kernel, gives an output that needs a
+    gradient a node whose backward closure keeps what ``op.save`` keeps and
+    skips inputs that need no gradient, and notifies the active graph
+    recorder.
     """
-    datas = tuple(t.data for t in inputs)
+    datas = tuple([t.data for t in inputs])
     data = op.forward(datas, params)
-    requires_grad = op.differentiable and any(t.requires_grad for t in inputs)
-    if requires_grad:
-        needs = tuple(t.requires_grad for t in inputs)
+    needs = tuple([t.requires_grad for t in inputs])
+    if True in needs and op.differentiable:
         vjp = op.vjp
+        saved_out, saved = op.save(data, datas, params, needs)
+        # An input that needs no gradient is no parent, so the tape does
+        # not hold it.
+        parents = tuple([t._node or t if need else None
+                         for t, need in zip(inputs, needs)])
 
         def backward(grad: np.ndarray) -> None:
-            grads = vjp(grad, data, datas, params, needs)
-            for tensor, piece in zip(inputs, grads):
+            grads = vjp(grad, saved_out, saved, params, needs)
+            for parent, piece in zip(parents, grads):
                 if piece is not None:
-                    tensor._accumulate(piece)
+                    parent._accumulate(piece)
 
-        out = Tensor(data, requires_grad=True, _parents=inputs,
-                     _backward=backward)
+        out = Tensor(data, requires_grad=True)
+        out._node = _Node(backward, parents, out.data.dtype)
     else:
-        # No parents: nothing walks a gradient-free output's graph, so its
-        # inputs are freed as soon as the caller drops them.
-        out = Tensor(data, requires_grad=False)
+        out = Tensor(data)
     if _RECORDER is not None:
         _RECORDER.record(op, inputs, out, params)
     return out
@@ -91,7 +100,61 @@ def _consumed(grad: np.ndarray) -> None:
                        "already consumed; run the forward again")
 
 
-class Tensor:
+class _GradTarget:
+    """Where gradients collect: a leaf :class:`Tensor` or a :class:`_Node`.
+
+    Gradient accumulation is allocation lean: the first gradient reaching a
+    target is stored by reference, later ones are added in place into a
+    privately owned buffer.
+    """
+
+    __slots__ = ("grad", "_grad_owned")
+
+    def _accumulate(self, grad: np.ndarray) -> None:
+        if not self.requires_grad:
+            return
+        current = self.grad
+        if current is None:
+            # Store by reference: most targets receive exactly one gradient,
+            # so the defensive copy the seed made is usually wasted.  The
+            # array may be shared (or a read-only broadcast view), hence the
+            # ownership flag guarding the in-place fast path below.
+            grad = np.asarray(grad)
+            if grad.dtype != self.dtype:
+                grad = grad.astype(self.dtype)
+                self._grad_owned = True
+            else:
+                self._grad_owned = False
+            self.grad = grad
+        elif self._grad_owned and current.shape == np.shape(grad):
+            current += grad
+        else:
+            self.grad = current + grad
+            self._grad_owned = True
+
+
+class _Node(_GradTarget):
+    """The tape entry of an op output that needs a gradient.
+
+    It holds the backward closure (with the values the op's VJP reads),
+    the gradient targets of the op's inputs (``None`` for an input that
+    needs no gradient) and the gradient reaching the output, but not the
+    output's ``.data``.  ``dtype`` is the output's, for casting gradients.
+    """
+
+    __slots__ = ("_backward", "_parents", "dtype")
+    requires_grad = True
+
+    def __init__(self, backward: Callable[[np.ndarray], None],
+                 parents: Tuple[Optional[_GradTarget], ...], dtype) -> None:
+        self._backward = backward
+        self._parents = parents
+        self.grad = None
+        self._grad_owned = False
+        self.dtype = dtype
+
+
+class Tensor(_GradTarget):
     """A NumPy-backed tensor that records operations for autodiff.
 
     Parameters
@@ -102,22 +165,22 @@ class Tensor:
         Whether gradients should be accumulated for this tensor.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents",
-                 "_grad_owned", "name")
+    __slots__ = ("data", "requires_grad", "_node", "name")
+
+    # A leaf is its own gradient target, with nothing behind it to walk.
+    _backward = None
+    _parents = ()
 
     def __init__(
         self,
         data: ArrayLike,
         requires_grad: bool = False,
-        _parents: Tuple["Tensor", ...] = (),
-        _backward: Optional[Callable[[np.ndarray], None]] = None,
         name: Optional[str] = None,
     ) -> None:
         self.data = _as_array(data)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
-        self._backward = _backward
-        self._parents = _parents
+        self._node: Optional[_Node] = None
         self._grad_owned = False
         self.name = name
 
@@ -161,31 +224,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
         self._grad_owned = False
-
-    # ------------------------------------------------------------------ #
-    # Gradient accumulation
-    # ------------------------------------------------------------------ #
-    def _accumulate(self, grad: np.ndarray) -> None:
-        if not self.requires_grad:
-            return
-        current = self.grad
-        if current is None:
-            # Store by reference: most tensors receive exactly one gradient,
-            # so the defensive copy the seed made is usually wasted.  The
-            # array may be shared (or a read-only broadcast view), hence the
-            # ownership flag guarding the in-place fast path below.
-            grad = np.asarray(grad)
-            if grad.dtype != self.data.dtype:
-                grad = grad.astype(self.data.dtype)
-                self._grad_owned = True
-            else:
-                self._grad_owned = False
-            self.grad = grad
-        elif self._grad_owned and current.shape == np.shape(grad):
-            current += grad
-        else:
-            self.grad = current + grad
-            self._grad_owned = True
 
     # ------------------------------------------------------------------ #
     # Arithmetic
@@ -328,12 +366,13 @@ class Tensor:
 
         Notes
         -----
-        The walk consumes the graph, as PyTorch does by default: once a
-        node's VJP has run, its closure, parent links and gradient are
-        dropped, so only leaves keep ``.grad`` and each activation is freed
-        as soon as nothing else holds it.  Call ``backward()`` once per
-        forward; a second call through a consumed node raises
-        ``RuntimeError``.
+        The walk runs over the nodes of op outputs and ends at leaves.  It
+        consumes the graph, as PyTorch does by default: once a node's VJP
+        has run, its closure (with the values it saved), parent links and
+        gradient are dropped, so only leaves keep ``.grad`` and each saved
+        activation is freed as soon as nothing else holds it.  Call
+        ``backward()`` once per forward; a second call through a consumed
+        node raises ``RuntimeError``.
 
         ``.grad`` arrays must be treated as read-only: the allocation-lean
         accumulation stores gradients by reference, so an array may be
@@ -348,9 +387,10 @@ class Tensor:
             grad = np.ones_like(self.data)
         grad = np.asarray(grad, dtype=self.data.dtype)
 
-        topo: list[Tensor] = []
+        root = self._node or self
+        topo: list[_GradTarget] = []
         visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[_GradTarget, bool]] = [(root, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -361,21 +401,21 @@ class Tensor:
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
-                if parent.requires_grad and id(parent) not in visited:
+                if parent is not None and id(parent) not in visited:
                     stack.append((parent, False))
 
-        self._accumulate(grad)
+        root._accumulate(grad)
         while topo:
             node = topo.pop()
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-                # Consume the node: its closure (and the activations it
-                # captured), its parent links and its gradient go now, so
-                # the tape shrinks as the walk proceeds and a second
-                # backward() through it raises.
+                # Consume the node: its closure (and the values it saved),
+                # its parent links and its gradient go now, so the tape
+                # shrinks as the walk proceeds and a second backward()
+                # through it raises.
                 node._backward = _consumed
                 node._parents = ()
-                node.zero_grad()
+                node.grad = None
 
 
 def as_tensor(value: ArrayLike) -> Tensor:

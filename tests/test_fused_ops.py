@@ -232,13 +232,13 @@ def test_bn_relu_max_keeps_composite_for_training_or_trainable():
     bias, norm = _frozen_tail(4, rng)
     pre = Tensor(rng.normal(size=(1, 5, 3, 4)), requires_grad=True)
     fused = bias_bn_relu_max(pre, bias, norm, axis=2)
-    assert fused._parents == (pre,)                       # one fused node
+    assert fused._node._parents == (pre,)                 # one fused node
     norm.gamma.requires_grad = True
     trainable = bias_bn_relu_max(pre, bias, norm, axis=2)
-    assert trainable._parents != (pre,)
+    assert trainable._node._parents != (pre,)
     norm.train()
     training = bias_bn_relu_max(pre, bias, norm, axis=2)
-    assert training._parents != (pre,)
+    assert training._node._parents != (pre,)
 
 
 def test_models_use_the_fused_ops():

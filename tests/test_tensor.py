@@ -426,17 +426,20 @@ class TestGraph:
 
 
 class TestLifetime:
-    """``backward()`` consumes the tape, and gradient-free outputs keep no
-    graph.  ``Tensor`` has ``__slots__`` and no weak references, so the
-    weakrefs below watch the ``.data`` arrays instead."""
+    """``backward()`` consumes the tape, gradient-free outputs keep no
+    graph, and the tape keeps only what each op's VJP reads.  ``Tensor``
+    has ``__slots__`` and no weak references, so the weakrefs below watch
+    the ``.data`` arrays instead."""
 
     SHAPE = (128, 512)                       # 512 KiB per float64 array
     ARRAY_BYTES = 128 * 512 * 8
 
     def test_backward_frees_the_tape_as_it_walks(self):
-        """tracemalloc counts NumPy's allocations exactly: after the walk
-        only the leaf and its gradient are left, and the walk itself never
-        holds much more than the forward left alive."""
+        """tracemalloc counts NumPy's allocations exactly.  The forward
+        leaves the leaf and the 16 ``tanh`` outputs (their VJP reads them;
+        ``mul`` by a constant keeps only the constant), after the walk only
+        the leaf and its gradient are left, and the walk itself never holds
+        much more than the forward left alive."""
         tracemalloc.start()
         try:
             x = Tensor(np.random.default_rng(0).normal(size=self.SHAPE),
@@ -452,7 +455,7 @@ class TestLifetime:
             after, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert forward > 32 * self.ARRAY_BYTES      # the tape was there
+        assert 16 * self.ARRAY_BYTES < forward < 18 * self.ARRAY_BYTES
         assert after <= 3 * self.ARRAY_BYTES        # leaf data and grad
         assert peak <= forward + 4 * self.ARRAY_BYTES
         assert x.grad.shape == self.SHAPE
@@ -461,12 +464,62 @@ class TestLifetime:
         x = Tensor(np.full((4, 3), 0.5), requires_grad=True)
         hidden = x * 2.0
         ref = weakref.ref(hidden.data)
-        out = hidden.tanh()
+        out = hidden.relu()                         # its VJP reads its input
         del hidden
         assert ref() is not None                    # the tape holds it
         out.sum().backward()
         assert ref() is None
+        np.testing.assert_allclose(x.grad, 2.0)
+
+    def test_the_tape_keeps_only_what_a_vjp_reads(self):
+        x = Tensor(np.full((4, 3), 0.5), requires_grad=True)
+        hidden = x * 2.0
+        ref = weakref.ref(hidden.data)
+        out = hidden.tanh()                         # its VJP reads its output
+        del hidden
+        assert ref() is None                        # dead before backward()
+        out.sum().backward()
         np.testing.assert_allclose(x.grad, 2.0 * (1.0 - np.tanh(1.0) ** 2))
+
+    def test_exact_edgeconv_chain_keeps_one_array_per_block(self):
+        """gather → subtract → concatenate → frozen matmul →
+        ``bias_bn_relu_max``, as ResGCN's exact EdgeConv runs it: of each
+        block's ``(B, N, K, C)`` arrays the tape keeps only ``pre``, which
+        the fused tail's VJP reads.  Keeping every input would hold five
+        arrays' worth per block (neighbours, differences, the double-width
+        concatenation and ``pre``)."""
+        from repro.nn import BatchNorm, bias_bn_relu_max
+
+        rng = np.random.default_rng(0)
+        batch, points, k, channels, blocks = 1, 512, 16, 16, 3
+        index = rng.integers(points, size=(batch, points, k))
+        layers = []
+        for _ in range(blocks):
+            norm = BatchNorm(channels)
+            norm.eval()
+            for param in (norm.gamma, norm.beta):
+                param.requires_grad = False
+            layers.append((Tensor(rng.normal(size=(2 * channels, channels))),
+                           Tensor(rng.normal(size=channels)), norm))
+        array_bytes = batch * points * k * channels * 8
+        tracemalloc.start()
+        try:
+            x = Tensor(rng.normal(size=(batch, points, channels)),
+                       requires_grad=True)
+            h = x
+            for weight, bias, norm in layers:
+                neighbours = gather_points(h, index)
+                centre = h.expand_dims(2)
+                edges = concatenate([centre.broadcast_to(neighbours.shape),
+                                     neighbours - centre], axis=-1)
+                h = bias_bn_relu_max(edges @ weight, bias, norm, axis=2)
+            del neighbours, centre, edges
+            forward, _ = tracemalloc.get_traced_memory()
+            h.sum().backward()
+        finally:
+            tracemalloc.stop()
+        assert blocks * array_bytes < forward < (blocks + 1) * array_bytes
+        assert x.grad.shape == x.shape
 
     def test_gradient_free_outputs_keep_no_parents(self):
         x = Tensor(np.full((4, 3), 0.5))

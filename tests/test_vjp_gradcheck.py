@@ -13,6 +13,11 @@ difference quotient is smooth.  Binary elementwise ops use broadcasting
 pairs such as ``(5, 25, 15)`` × ``(5, 1, 1)``.  Every case also checks that
 its op really ran, and the case table must cover the whole registry, so a
 new op cannot skip the check.
+
+A second pass lets each input of a multi-input op alone require a gradient,
+so every conditional save rule runs (``matmul`` with a frozen right operand
+keeps only that operand): a value the rule dropped reaches the VJP as a
+``Standin``, which raises on any use of its values.
 """
 
 from __future__ import annotations
@@ -144,6 +149,19 @@ def test_vjp_matches_finite_differences(name):
     check_vjp(name, rng)
 
 
+def _single_input_cases():
+    for name in sorted(CASES):
+        _, inputs = CASES[name](np.random.default_rng(0))
+        if len(inputs) > 1:
+            yield from ((name, i) for i in range(len(inputs)))
+
+
+@pytest.mark.parametrize("name,only", list(_single_input_cases()))
+def test_vjp_with_one_input_requiring_grad(name, only):
+    rng = np.random.default_rng(sorted(CASES).index(name))
+    check_vjp(name, rng, only=only)
+
+
 def test_closed_form_softmax_vjp_matches_finite_differences():
     """The fast policy's softmax VJP, ``scale · y · (g − Σ g·y)``, checked
     in float64 under a non-exact policy."""
@@ -153,12 +171,14 @@ def test_closed_form_softmax_vjp_matches_finite_differences():
                if node.op.name == "softmax")
 
 
-def check_vjp(name, rng):
+def check_vjp(name, rng, only=None):
     """Case ``name``'s input gradients against central differences;
-    returns the recorded graph nodes."""
+    returns the recorded graph nodes.  With ``only`` set, that input alone
+    requires a gradient."""
     build, inputs = CASES[name](rng)
     assert all(x.dtype == np.float64 for x in inputs)
-    tensors = [Tensor(x.copy(), requires_grad=True) for x in inputs]
+    tensors = [Tensor(x.copy(), requires_grad=only in (None, i))
+               for i, x in enumerate(inputs)]
     recorder = GraphRecorder({f"x{i}": t for i, t in enumerate(tensors)})
     with recording(recorder):
         out = build(*tensors)
@@ -167,6 +187,10 @@ def check_vjp(name, rng):
     (out * Tensor(upstream)).sum().backward()
 
     for i, x in enumerate(inputs):
+        if only not in (None, i):
+            assert tensors[i].grad is None
+            continue
+
         def objective(arr, i=i):
             args = [Tensor(a) for a in inputs]
             args[i] = Tensor(arr)
