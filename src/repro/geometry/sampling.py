@@ -36,14 +36,26 @@ def farthest_point_sampling(points: np.ndarray, num_samples: int,
     selected = np.empty(num_samples, dtype=np.int64)
     rng = np.random.default_rng(seed) if seed is not None else None
     selected[0] = int(rng.integers(n)) if rng is not None else 0
-    min_d2 = np.sum((points - points[selected[0]]) ** 2, axis=1)
-    min_d2[selected[0]] = -np.inf          # never pick the same index twice
-    for i in range(1, num_samples):
-        selected[i] = int(np.argmax(min_d2))
-        d2 = np.sum((points - points[selected[i]]) ** 2, axis=1)
-        min_d2 = np.minimum(min_d2, d2)
-        # Earlier picks stay -inf through np.minimum; mask the new one.
-        min_d2[selected[i]] = -np.inf
+    # One contiguous row per coordinate and two preallocated buffers: the
+    # loop allocates nothing.  ``(dx·dx + dy·dy) + dz·dz`` adds in the order
+    # ``np.sum(diff ** 2, axis=1)`` does, so the distances are bit-identical.
+    columns = np.ascontiguousarray(points.T)
+    d2, term = np.empty(n), np.empty(n)
+    min_d2 = np.full(n, np.inf)
+    for i in range(num_samples):
+        if i:
+            selected[i] = np.argmax(min_d2)
+        index = selected[i]
+        np.subtract(columns[0], columns[0, index], out=d2)
+        np.multiply(d2, d2, out=d2)
+        for column in columns[1:]:
+            np.subtract(column, column[index], out=term)
+            np.multiply(term, term, out=term)
+            np.add(d2, term, out=d2)
+        np.minimum(min_d2, d2, out=min_d2)
+        # Earlier picks stay -inf through np.minimum; mask the new one, so
+        # no index is picked twice.
+        min_d2[index] = -np.inf
     return selected
 
 

@@ -146,7 +146,9 @@ class TestSampling:
     def test_fps_matches_the_remasking_loop(self, kind):
         """Masking only the newly chosen index picks what re-masking every
         chosen index did: ``np.minimum`` keeps ``-inf`` against finite
-        distances.  Duplicated points and lattices tie in the argmax."""
+        distances.  The column-wise, preallocated distances pick what the
+        ``(N, 3)`` loop with fresh temporaries did.  Duplicated points and
+        lattices tie in the argmax."""
         def reference(points, num_samples, seed):
             points = np.asarray(points, dtype=np.float64)
             n = points.shape[0]
@@ -163,6 +165,22 @@ class TestSampling:
                 min_d2[selected[: i + 1]] = -np.inf
             return selected
 
+        def temporaries_loop(points, num_samples, seed):
+            points = np.asarray(points, dtype=np.float64)
+            n = points.shape[0]
+            num_samples = min(num_samples, n)
+            selected = np.empty(num_samples, dtype=np.int64)
+            rng = np.random.default_rng(seed) if seed is not None else None
+            selected[0] = int(rng.integers(n)) if rng is not None else 0
+            min_d2 = np.sum((points - points[selected[0]]) ** 2, axis=1)
+            min_d2[selected[0]] = -np.inf
+            for i in range(1, num_samples):
+                selected[i] = int(np.argmax(min_d2))
+                d2 = np.sum((points - points[selected[i]]) ** 2, axis=1)
+                min_d2 = np.minimum(min_d2, d2)
+                min_d2[selected[i]] = -np.inf
+            return selected
+
         for trial in range(40):
             rng = np.random.default_rng([trial, len(kind)])
             n = int(rng.integers(2, 60))
@@ -177,9 +195,11 @@ class TestSampling:
                 points = grid.reshape(-1, 3) * 0.5
             for num_samples in (1, len(points) // 2 + 1, len(points) + 7):
                 for seed in (trial, None):
+                    picked = farthest_point_sampling(points, num_samples, seed)
                     np.testing.assert_array_equal(
-                        farthest_point_sampling(points, num_samples, seed),
-                        reference(points, num_samples, seed))
+                        picked, reference(points, num_samples, seed))
+                    np.testing.assert_array_equal(
+                        picked, temporaries_loop(points, num_samples, seed))
 
     def test_random_sampling_no_replacement(self):
         idx = random_sampling(50, 20, np.random.default_rng(0))
