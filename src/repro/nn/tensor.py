@@ -30,9 +30,9 @@ and is checked against finite differences in the test-suite.
 The floating dtype of every new tensor follows the active
 :class:`repro.accel.ComputePolicy` (float64 by default; float32 inside the
 attack engines' fast-math context).  Gradient accumulation is allocation
-lean: the first gradient reaching a tensor is stored by reference, later
-ones are added in place into a privately owned buffer, and backward
-closures skip work entirely for parents that do not require gradients.
+lean: the first gradient reaching a leaf or node is stored by reference,
+later ones are added in place into a privately owned buffer, and backward
+closures skip work entirely for inputs that do not require gradients.
 """
 
 from __future__ import annotations
@@ -101,12 +101,7 @@ def _consumed(grad: np.ndarray) -> None:
 
 
 class _GradTarget:
-    """Where gradients collect: a leaf :class:`Tensor` or a :class:`_Node`.
-
-    Gradient accumulation is allocation lean: the first gradient reaching a
-    target is stored by reference, later ones are added in place into a
-    privately owned buffer.
-    """
+    """Where gradients collect: a leaf :class:`Tensor` or a :class:`_Node`."""
 
     __slots__ = ("grad", "_grad_owned")
 

@@ -30,6 +30,7 @@ from repro.accel import ComputePolicy, use_policy
 from repro.nn import (OPS, BatchNorm, Tensor, bias_bn_relu_max, concatenate,
                       gather_points, maximum, softmax, stack, where)
 from repro.nn.graph import GraphRecorder, recording
+from repro.nn.ops import Standin
 
 BROADCAST_PAIR = ((5, 25, 15), (5, 1, 1))
 
@@ -147,6 +148,17 @@ def test_cases_cover_every_op_with_a_vjp():
 def test_vjp_matches_finite_differences(name):
     rng = np.random.default_rng(sorted(CASES).index(name))
     check_vjp(name, rng)
+
+
+def test_standin_carries_metadata_and_refuses_values():
+    array = np.ones((2, 3), dtype=np.float32)
+    standin = Standin(array)
+    assert (standin.shape, standin.dtype, standin.ndim) == ((2, 3), np.float32, 2)
+    for use in (np.asarray, np.zeros_like, np.exp, lambda s: s * 2.0,
+                lambda s: array * s, lambda s: array @ s, lambda s: s ** 2,
+                lambda s: array == s, lambda s: np.swapaxes(s, 0, 1), bool):
+        with pytest.raises(TypeError):
+            use(standin)
 
 
 def _single_input_cases():
