@@ -235,6 +235,50 @@ class TestEventParity:
 
 
 # ---------------------------------------------------------------------- #
+# The step and convergence events' fields, which serve `watch` clients and
+# `telemetry summarize` read
+# ---------------------------------------------------------------------- #
+_ENVELOPE = {"type", "ts", "pid"}
+_STEP_FIELDS = _ENVELOPE | {"engine", "scene", "step", "loss", "gain", "pnorm"}
+_BLACKBOX = {"nes", "spsa", "boundary"}
+
+
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+class TestEventFields:
+    def _events(self, model, scene, config):
+        stream = io.StringIO()
+        with trace_to(stream=stream):
+            run_attack(model, scene, config)
+        return _trace_events(stream)
+
+    def test_attack_step_fields(self, telemetry_model, telemetry_scenes,
+                                engine, policy):
+        events = self._events(telemetry_model, telemetry_scenes[0],
+                              make_config(engine, policy))
+        steps = [e for e in events if e["type"] == "attack_step"]
+        assert steps
+        expected = _STEP_FIELDS | ({"queries"} if engine in _BLACKBOX
+                                   else set())
+        for event in steps:
+            assert set(event) == expected
+            assert event["engine"] == engine
+            assert type(event["step"]) is int
+
+    def test_attack_converged_when_trivially_met(self, telemetry_model,
+                                                 telemetry_scenes, engine,
+                                                 policy):
+        events = self._events(
+            telemetry_model, telemetry_scenes[0],
+            make_config(engine, policy, target_accuracy=1.0))
+        converged = [e for e in events if e["type"] == "attack_converged"]
+        assert len(converged) == 1
+        assert set(converged[0]) == _ENVELOPE | {"engine", "scene", "step"}
+        assert converged[0]["engine"] == engine
+        assert converged[0]["step"] == 1
+
+
+# ---------------------------------------------------------------------- #
 # attack_run events carry the per-run cache counters
 # ---------------------------------------------------------------------- #
 class TestAttackRunStats:
