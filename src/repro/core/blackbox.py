@@ -43,12 +43,13 @@ from ..accel import attack_compute
 from ..models.base import SegmentationModel
 from ..nn import Tensor, plan_cache
 from ..telemetry import get_tracer
+from .batch import AttackEngine
 from .config import AttackConfig, AttackMode, AttackObjective, AttackResult
 from .convergence import ConvergenceCheck
 from .eot import build_eot
 from .evaluation import build_result
 from .norm_bounded import NormBoundedAttack
-from .perturbation import PerturbationSpec, PreparedScene
+from .perturbation import PerturbationSpec
 
 
 def _margin_loss(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray,
@@ -179,14 +180,11 @@ class _SceneState:
         return sample.restrict(self.mask)
 
 
-class _BlackBoxAttack:
+class _BlackBoxAttack(AttackEngine):
     """Shared driver: stacked forward evaluation over per-scene states."""
 
-    def __init__(self, model: SegmentationModel, config: AttackConfig) -> None:
-        self.model = model
-        self.config = config
-        self.check = ConvergenceCheck(config, model.num_classes)
-        self._plans = None
+    #: The run's forward-only plan cache, set while ``run_batched`` runs.
+    _plans = None
 
     #: Rows per stacked inference forward.  Adaptive mode multiplies the
     #: probe population by ``eot_samples``, so one unbounded forward could
@@ -250,15 +248,6 @@ class _BlackBoxAttack:
         )
 
     # -------------------------------------------------------------- #
-    def run(self, coords: np.ndarray, colors: np.ndarray, labels: np.ndarray,
-            spec: PerturbationSpec, target_labels: Optional[np.ndarray] = None,
-            rng: Optional[np.random.Generator] = None,
-            scene_name: str = "") -> AttackResult:
-        """Attack a single prepared cloud (all arrays in model space)."""
-        return self.run_batched([PreparedScene(coords, colors, labels, spec,
-                                               target_labels, rng,
-                                               scene_name)])[0]
-
     def run_batched(self, scenes: Sequence) -> List[AttackResult]:
         """Attack several same-size prepared clouds through shared forwards."""
         states = [self._make_state(scene) for scene in scenes]

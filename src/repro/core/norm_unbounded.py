@@ -15,114 +15,55 @@ variable (the paper's restart heuristic).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..accel import attack_compute, current_policy
-from ..models.base import SegmentationModel
 from ..nn import Adam, Tensor, where
-from ..telemetry import get_tracer
-from .config import AttackConfig, AttackObjective, AttackResult
-from .convergence import ConvergenceCheck
+from .batch import AttackEngine, SceneBatch
+from .config import AttackResult
 from .distance import l2_distance
-from .eot import averaged_eot_loss, build_eot, eot_refresh, stack_samples
-from .evaluation import build_result
-from .minimp import MinImpactSelector
+from .eot import eot_refresh
 from .objectives import adversarial_loss
-from .perturbation import PerturbationSpec, PreparedScene
+from .perturbation import PreparedScene
 from .reparam import BoxReparam
 from .smoothness import smoothness_penalty
 
 
-class NormUnboundedAttack:
+class NormUnboundedAttack(AttackEngine):
     """C&W-style attack optimising perturbation size and attack success jointly."""
 
-    def __init__(self, model: SegmentationModel, config: AttackConfig) -> None:
-        self.model = model
-        self.config = config
-        self.check = ConvergenceCheck(config, model.num_classes)
-
-    # ------------------------------------------------------------------ #
-    def _adversarial_loss(self, logits, labels, target_labels, mask,
-                          per_scene: bool = False):
-        return adversarial_loss(self.config.objective, logits, labels,
-                                target_labels, mask, per_scene=per_scene)
-
-    # ------------------------------------------------------------------ #
-    def run(self, coords: np.ndarray, colors: np.ndarray, labels: np.ndarray,
-            spec: PerturbationSpec, target_labels: Optional[np.ndarray] = None,
-            rng: Optional[np.random.Generator] = None,
-            scene_name: str = "") -> AttackResult:
-        """Attack a single prepared cloud (all arrays in model space)."""
-        return self.run_batched([PreparedScene(coords, colors, labels, spec,
-                                               target_labels, rng,
-                                               scene_name)])[0]
-
-    # ------------------------------------------------------------------ #
-    def run_batched(self, scenes: Sequence) -> List[AttackResult]:
+    def run_batched(self, scenes: Sequence[PreparedScene]) -> List[AttackResult]:
         """Attack several same-size prepared clouds in one optimisation loop.
 
-        ``scenes`` is a sequence of :class:`PreparedScene` records, all
-        clouds sharing one point count.  A single forward/backward serves
-        the whole batch, but every scene keeps its own target mask, RNG
-        stream, plateau counter, min-impact selector and early-stopping
-        decision, so each returned :class:`AttackResult` is bit-for-bit
-        identical to the one a one-scene run produces for that scene.  Scenes that converge early are frozen in place (their
-        best snapshot is already taken) while the rest of the batch keeps
-        optimising; the loop exits once every scene has converged.
+        A single forward/backward serves the whole batch, but every scene
+        keeps its own target mask, RNG stream, plateau counter, min-impact
+        selector and early-stopping decision, so each returned
+        :class:`AttackResult` is bit-for-bit identical to the one a
+        one-scene run produces for that scene.  Scenes that converge early
+        are frozen in place (their best snapshot is already taken) while the
+        rest of the batch keeps optimising; the loop exits once every scene
+        has converged.
         """
         config = self.config
-        batch = len(scenes)
-        coords = np.stack([np.asarray(s.coords, dtype=np.float64) for s in scenes])
-        colors = np.stack([np.asarray(s.colors, dtype=np.float64) for s in scenes])
-        labels = np.stack([np.asarray(s.labels, dtype=np.int64) for s in scenes])
-        mask = np.stack([s.spec.target_mask for s in scenes])              # (B, N)
+        batch = SceneBatch(self, scenes)
+        coords, colors, mask, spec = batch.coords, batch.colors, batch.mask, batch.spec
         mask3 = np.broadcast_to(mask[:, :, None], colors.shape)
-        rngs = [s.rng or np.random.default_rng(config.seed) for s in scenes]
-        spec = scenes[0].spec
-        if config.objective is AttackObjective.OBJECT_HIDING:
-            if any(s.target_labels is None for s in scenes):
-                raise ValueError("object hiding requires target labels")
-            target_labels = np.stack([np.asarray(s.target_labels, dtype=np.int64)
-                                      for s in scenes])
-        else:
-            target_labels = None
-        targets = [None] * batch if target_labels is None else list(target_labels)
-
-        self.model.eval()
-        # Clean predictions stay per-scene: they run under the float64
-        # reporting policy and are content-memoised.
-        clean_predictions = [self.model.predict_single(coords[b], colors[b])
-                             for b in range(batch)]
-
         color_reparam = BoxReparam(*spec.color_box)
         coord_reparam = BoxReparam(*spec.coord_box)
-        selectors = ([MinImpactSelector(mask[b], config.min_impact_points,
-                                        config.min_impact_floor)
-                      for b in range(batch)]
-                     if spec.field.perturbs_coordinate else None)
 
-        best_gain = np.full(batch, -np.inf)
-        best_adversarial_loss = np.full(batch, np.inf)
-        best_total_loss = np.full(batch, np.inf)
+        best_gain = np.full(batch.size, -np.inf)
+        best_adversarial_loss = np.full(batch.size, np.inf)
+        best_total_loss = np.full(batch.size, np.inf)
         best_colors = colors.copy()
         best_coords = coords.copy()
-        best_predictions: List[Optional[np.ndarray]] = [None] * batch
-        plateau = np.zeros(batch, dtype=np.int64)
-        histories: List[List[Dict[str, float]]] = [[] for _ in range(batch)]
-        converged = np.zeros(batch, dtype=bool)
-        active = np.ones(batch, dtype=bool)
-        iterations = np.zeros(batch, dtype=np.int64)
-        # Adaptive mode pins the neighbourhood cache to content-exact keying
-        # (as the black-box engines do): the defended forwards move the
-        # coordinates every step, and slot staleness would depend on how
-        # the samples are packed into forwards.
-        eot = build_eot(config)
-        refresh = eot_refresh(eot)
-        tracer = get_tracer()
+        best_predictions: List[Optional[np.ndarray]] = [None] * batch.size
+        plateau = np.zeros(batch.size, dtype=np.int64)
 
-        with attack_compute(self.model, config, neighbor_refresh=refresh) as cache:
+        # Adaptive mode pins the neighbourhood cache to content-exact keying.
+        with attack_compute(self.model, config,
+                            neighbor_refresh=eot_refresh(batch.eot)) as cache:
             smooth_source = (coords
                              if current_policy().smoothness_neighbors == "clean"
                              else None)
@@ -146,7 +87,7 @@ class NormUnboundedAttack:
             coords_const = Tensor(coords)
 
             for step in range(1, config.unbounded_steps + 1):
-                iterations[active] = step
+                batch.iterations[batch.active] = step
                 cache.advance()
 
                 optimizer.zero_grad()
@@ -157,10 +98,7 @@ class NormUnboundedAttack:
                     adv_colors_t = colors_const
                 if w_coord is not None:
                     coord_values = coord_reparam.to_box(w_coord)
-                    allowed = (np.stack([sel.allowed_mask()
-                                         for sel in selectors])
-                               if selectors is not None else mask)
-                    coord_mask3 = np.broadcast_to(allowed[:, :, None],
+                    coord_mask3 = np.broadcast_to(batch.allowed()[:, :, None],
                                                   coords.shape)
                     adv_coords_t = where(coord_mask3, coord_values,
                                          coords_const)
@@ -175,36 +113,22 @@ class NormUnboundedAttack:
                 # the seed implementation used; feeding the shared tensor
                 # directly would interleave the additions and shift the
                 # result by an ulp.
-                if eot is None:
+                if batch.eot is None:
                     logits = self.model(
                         adv_coords_t.reshape(adv_coords_t.shape),
                         adv_colors_t.reshape(adv_colors_t.shape))
-                    adversarial = None
+                    adversarial = adversarial_loss(
+                        config.objective, logits, batch.labels,
+                        batch.target_labels, mask, per_scene=True)
                 else:
-                    # Expectation over transformation: the adversarial term
-                    # averages over this step's defense samples, drawn in
-                    # scene order from each scene's stream at the *current*
-                    # adversarial values.  The distance and smoothness terms
-                    # keep judging the raw cloud, and so does convergence —
-                    # the reporting forward carries no gradient.
-                    adv_np = np.asarray(adv_coords_t.data)
-                    col_np = np.asarray(adv_colors_t.data)
-                    step_samples = [eot.draw_all(adv_np[b], col_np[b],
-                                                 rngs[b])
-                                    for b in range(batch)]
-                    adversarial, raw_logits = averaged_eot_loss(
-                        self.model, config.objective, adv_coords_t,
-                        adv_colors_t,
-                        [stack_samples([step_samples[b][k]
-                                        for b in range(batch)])
-                         for k in range(eot.samples)],
-                        labels, target_labels,
-                        restrict=lambda stacked: stacked.restrict(mask),
-                        wrap=lambda tensor: tensor.reshape(tensor.shape),
-                        per_scene=True)
-                    logits = (raw_logits if raw_logits is not None
-                              else self.model(Tensor(adv_np),
-                                              Tensor(col_np)))
+                    # Defense samples drawn at the policy-dtype adversarial
+                    # values.  The distance and smoothness terms keep judging
+                    # the raw cloud, and so does convergence.
+                    adversarial, logits = batch.eot_loss(
+                        adv_coords_t, adv_colors_t,
+                        np.asarray(adv_coords_t.data),
+                        np.asarray(adv_colors_t.data),
+                        wrap=lambda tensor: tensor.reshape(tensor.shape))
 
                 # Objective: distance + λ1 · adversarial + λ2 · smoothness.
                 distance_terms = []
@@ -220,11 +144,6 @@ class NormUnboundedAttack:
                 for term in distance_terms[1:]:
                     distance = distance + term
 
-                if adversarial is None:
-                    adversarial = self._adversarial_loss(
-                        logits, labels, target_labels, mask,
-                        per_scene=True)
-
                 smooth = smoothness_penalty(
                     adv_coords_t.reshape(adv_coords_t.shape),
                     adv_colors_t.reshape(adv_colors_t.shape),
@@ -235,15 +154,12 @@ class NormUnboundedAttack:
                          + config.lambda2 * smooth)
 
                 predictions = np.argmax(logits.data, axis=-1)            # (B, N)
-                converges = np.array([
-                    active[b] and self.check.converged(
-                        predictions[b], labels[b], targets[b], mask[b])
-                    for b in range(batch)])
+                converges = batch.converges(predictions)
                 # Only a later step reads this gradient (through Adam and
                 # min-impact pruning): the last step, and a step at which
                 # every scene still attacking converges, skip the backward.
                 reads_gradient = (step < config.unbounded_steps
-                                  and not np.array_equal(converges, active))
+                                  and not np.array_equal(converges, batch.active))
                 if reads_gradient:
                     # Summing the per-scene objectives routes a gradient of
                     # 1.0 into every scene's term while scenes stay
@@ -260,28 +176,20 @@ class NormUnboundedAttack:
                 adversarial_vals = np.asarray(adversarial.data, dtype=np.float64)
                 total_vals = np.asarray(total.data, dtype=np.float64)
 
-                for b in range(batch):
-                    if not active[b]:
-                        continue
-                    gain = self.check.gain(predictions[b], labels[b],
-                                           targets[b], mask[b])
-                    adversarial_loss = float(adversarial_vals[b])
+                for b in np.flatnonzero(batch.active):
+                    gain = batch.gain(b, predictions[b])
+                    adversarial_loss_b = float(adversarial_vals[b])
                     total_loss = float(total_vals[b])
-                    histories[b].append({
+                    batch.log_step(b, step, {
                         "step": float(step), "loss": total_loss,
                         "distance": float(distance_vals[b]), "gain": gain,
-                    })
-                    if tracer.enabled:
-                        tracer.emit("attack_step", engine=config.engine_name,
-                                    scene=scenes[b].scene_name, step=step,
-                                    loss=total_loss, gain=gain,
-                                    pnorm=float(distance_vals[b]))
+                    }, pnorm=lambda: float(distance_vals[b]))
                     improved = (gain > best_gain[b]
                                 or (gain == best_gain[b]
-                                    and adversarial_loss < best_adversarial_loss[b]))
+                                    and adversarial_loss_b < best_adversarial_loss[b]))
                     if improved:
                         best_gain[b] = gain
-                        best_adversarial_loss[b] = adversarial_loss
+                        best_adversarial_loss[b] = adversarial_loss_b
                         best_predictions[b] = predictions[b]
                         best_colors[b] = (np.where(mask3[b], adv_colors_t.data[b],
                                                    colors[b])
@@ -296,34 +204,28 @@ class NormUnboundedAttack:
                     best_total_loss[b] = min(best_total_loss[b], total_loss)
 
                     if converges[b]:
-                        converged[b] = True
-                        active[b] = False
-                        if tracer.enabled:
-                            tracer.emit("attack_converged",
-                                        engine=config.engine_name,
-                                        scene=scenes[b].scene_name, step=step)
+                        batch.stop(b, step)
                         continue
 
                     if plateau[b] >= config.plateau_patience:
                         for w in variables:
-                            noise = rngs[b].uniform(0.0, 1.0,
-                                                    size=w.data[b].shape) * mask3[b]
+                            noise = batch.rngs[b].uniform(
+                                0.0, 1.0, size=w.data[b].shape) * mask3[b]
                             w.data[b] += noise
                         plateau[b] = 0
 
                 if not reads_gradient:
                     # The graph the skipped backward would have consumed is
-                    # still held here: drop it before build_result's
-                    # reporting forwards allocate theirs.
-                    logits = raw_logits = adversarial = smooth = total = None
+                    # still held here: drop it before the reporting forwards
+                    # allocate theirs.
+                    logits = adversarial = smooth = total = None
                     break
 
                 optimizer.step()
 
-                if (w_coord is not None and selectors is not None
-                        and w_coord.grad is not None):
-                    for b, selector in enumerate(selectors):
-                        if not active[b] or not selector.active:
+                if w_coord is not None and w_coord.grad is not None:
+                    for b, selector in enumerate(batch.selectors):
+                        if not batch.active[b] or not selector.active:
                             continue
                         perturbation = (coord_reparam.to_box_numpy(w_coord.data[b])
                                         - coords[b])
@@ -332,22 +234,8 @@ class NormUnboundedAttack:
                             w_coord.data[b][pruned] = coord_reparam.from_box(
                                 coords[b][pruned])
 
-        return [
-            build_result(
-                model=self.model, config=config,
-                original_coords=coords[b], original_colors=colors[b],
-                adversarial_coords=best_coords[b], adversarial_colors=best_colors[b],
-                labels=labels[b],
-                target_labels=None if target_labels is None else target_labels[b],
-                target_mask=mask[b],
-                iterations=int(iterations[b]), converged=bool(converged[b]),
-                history=histories[b], scene_name=scenes[b].scene_name,
-                clean_prediction=clean_predictions[b],
-                adversarial_prediction=(best_predictions[b] if reuse_prediction
-                                        else None),
-            )
-            for b in range(batch)
-        ]
+        return batch.results(best_coords, best_colors,
+                             best_predictions if reuse_prediction else None)
 
 
 __all__ = ["NormUnboundedAttack"]

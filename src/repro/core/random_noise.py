@@ -11,75 +11,57 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..models.base import SegmentationModel
-from .config import AttackConfig, AttackResult
-from .evaluation import build_result
+from .batch import AttackEngine, SceneBatch
+from .config import AttackResult
 from .perturbation import PerturbationSpec, PreparedScene
 
 
-class RandomNoiseBaseline:
+class RandomNoiseBaseline(AttackEngine):
     """Adds norm-matched random noise to the attacked field."""
-
-    def __init__(self, model: SegmentationModel, config: AttackConfig) -> None:
-        self.model = model
-        self.config = config
 
     def run(self, coords: np.ndarray, colors: np.ndarray, labels: np.ndarray,
             spec: PerturbationSpec, target_labels: Optional[np.ndarray] = None,
             rng: Optional[np.random.Generator] = None,
             scene_name: str = "",
             target_l2: Optional[float] = None) -> AttackResult:
-        """Perturb one cloud with random noise.
+        """Perturb one cloud with random noise (see :meth:`run_batched`)."""
+        return self.run_batched([PreparedScene(coords, colors, labels, spec,
+                                               target_labels, rng,
+                                               scene_name)],
+                                target_l2=target_l2)[0]
 
-        Parameters
-        ----------
-        target_l2:
-            Desired squared-L2 budget (Eq. 6) over the attacked points.  When
-            omitted, a budget derived from ``config.epsilon`` is used.
+    def run_batched(self, scenes: Sequence[PreparedScene],
+                    target_l2: Optional[float] = None) -> List[AttackResult]:
+        """Perturb each prepared cloud: one model query per scene.
+
+        ``target_l2`` is the squared-L2 budget (Eq. 6) over each scene's
+        attacked points; when omitted, each scene gets ε-sized noise on every
+        channel of every attacked point (``3·ε²`` per point).
         """
-        config = self.config
-        rng = rng or np.random.default_rng(config.seed)
-        coords = np.asarray(coords, dtype=np.float64)
-        colors = np.asarray(colors, dtype=np.float64)
-        labels = np.asarray(labels, dtype=np.int64)
-        mask = spec.target_mask
-        num_targets = int(mask.sum())
+        batch = SceneBatch(self, scenes)
+        spec = batch.spec
+        adv_coords = batch.coords.copy()
+        adv_colors = batch.colors.copy()
+        for b, rng in enumerate(batch.rngs):
+            mask = batch.mask[b]
+            budget = (float(int(mask.sum()) * 3 * self.config.epsilon ** 2)
+                      if target_l2 is None else target_l2)
 
-        if target_l2 is None:
-            # ε-sized noise on every channel of every attacked point.
-            target_l2 = float(num_targets * 3 * config.epsilon ** 2)
+            def noised(values: np.ndarray, box: tuple) -> np.ndarray:
+                noise = rng.normal(size=values.shape)
+                noise[~mask] = 0.0
+                norm = np.sqrt(np.sum(noise ** 2))
+                if norm > 0:
+                    noise = noise * np.sqrt(budget) / norm
+                return np.clip(values + noise, box[0], box[1])
 
-        adv_coords = coords.copy()
-        adv_colors = colors.copy()
-
-        def _noised(values: np.ndarray, box: tuple) -> np.ndarray:
-            noise = rng.normal(size=values.shape)
-            noise[~mask] = 0.0
-            norm = np.sqrt(np.sum(noise ** 2))
-            if norm > 0:
-                noise = noise * np.sqrt(target_l2) / norm
-            return np.clip(values + noise, box[0], box[1])
-
-        if spec.field.perturbs_color:
-            adv_colors = _noised(adv_colors, spec.color_box)
-        if spec.field.perturbs_coordinate:
-            adv_coords = _noised(adv_coords, spec.coord_box)
-
-        return build_result(
-            model=self.model, config=config,
-            original_coords=coords, original_colors=colors,
-            adversarial_coords=adv_coords, adversarial_colors=adv_colors,
-            labels=labels, target_labels=target_labels, target_mask=mask,
-            iterations=1, converged=False, history=[],
-            scene_name=scene_name,
-        )
-
-    def run_batched(self, scenes: Sequence[PreparedScene]) -> List[AttackResult]:
-        """Perturb each prepared cloud in turn: one model query per scene."""
-        return [self.run(s.coords, s.colors, s.labels, s.spec,
-                         target_labels=s.target_labels, rng=s.rng,
-                         scene_name=s.scene_name)
-                for s in scenes]
+            # Colour first, then coordinates, from the scene's own stream.
+            if spec.field.perturbs_color:
+                adv_colors[b] = noised(adv_colors[b], spec.color_box)
+            if spec.field.perturbs_coordinate:
+                adv_coords[b] = noised(adv_coords[b], spec.coord_box)
+        batch.iterations[:] = 1
+        return batch.results(adv_coords, adv_colors)
 
 
 __all__ = ["RandomNoiseBaseline"]
