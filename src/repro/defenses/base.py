@@ -76,8 +76,8 @@ class Defense:
     """Base class for the anomaly-detection / input-sanitisation defenses.
 
     Subclasses implement :meth:`keep_indices` (``kind = "removal"``) or
-    :meth:`transform` (``kind = "transformation"``); :meth:`apply` and
-    :meth:`apply_batch` then work for either kind.  ``stochastic`` marks
+    :meth:`transform` (``kind = "transformation"``); :meth:`apply` then
+    works for either kind, one cloud per call.  ``stochastic`` marks
     defenses whose decision consumes randomness — these reseed from their
     own ``seed`` whenever no explicit generator is passed, so repeated
     evaluations are deterministic.
@@ -124,41 +124,6 @@ class Defense:
         kept = self.keep_indices(coords, colors, rng=rng)
         return {"coords": coords[kept], "colors": colors[kept],
                 "labels": labels[kept], "indices": kept}
-
-    def apply_batch(self, coords: np.ndarray, colors: np.ndarray,
-                    labels: np.ndarray,
-                    rng: Optional[np.random.Generator] = None
-                    ) -> List[Dict[str, np.ndarray]]:
-        """Filter a ``(B, N, ...)`` stack of clouds, one decision per scene.
-
-        Defenses may drop a different number of points per cloud, so the
-        output is a ragged list of per-scene ``apply`` dictionaries.  Each
-        scene is judged independently with the same semantics as a serial
-        ``apply`` call (stochastic defenses reseed per scene unless a shared
-        ``rng`` is passed explicitly), so defended batched attacks score
-        exactly like their serial counterparts.  Subclasses override this
-        with vectorised implementations where the per-scene decisions allow
-        it; every override must stay bit-for-bit equal to the serial loop.
-        """
-        coords = np.asarray(coords)
-        colors = np.asarray(colors)
-        labels = np.asarray(labels)
-        return [self.apply(coords[b], colors[b], labels[b], rng=rng)
-                for b in range(coords.shape[0])]
-
-    @staticmethod
-    def _transformed_batch(coords: np.ndarray, colors: np.ndarray,
-                           labels: np.ndarray) -> List[Dict[str, np.ndarray]]:
-        """Per-scene ``apply`` dicts for an already-transformed stack.
-
-        The shared assembly step of every vectorised transformation
-        ``apply_batch``: transformation defenses never drop points, so each
-        scene keeps ``arange(N)`` indices and its original labels.
-        """
-        indices = np.arange(coords.shape[1], dtype=np.int64)
-        return [{"coords": coords[b], "colors": colors[b],
-                 "labels": labels[b], "indices": indices.copy()}
-                for b in range(coords.shape[0])]
 
     # ------------------------------------------------------------------ #
     # Adaptive-attack hook

@@ -7,7 +7,7 @@ decision boundary.  A *transformation* defense — every point survives.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -58,28 +58,6 @@ class GaussianJitter(Defense):
         jittered_colors = (np.asarray(colors, dtype=np.float64) + color_noise
                            if color_noise is not None else colors)
         return coords + coord_noise, jittered_colors
-
-    def apply_batch(self, coords: np.ndarray, colors: np.ndarray,
-                    labels: np.ndarray,
-                    rng: Optional[np.random.Generator] = None
-                    ) -> List[Dict[str, np.ndarray]]:
-        """Vectorised per-scene-reseed path: one broadcast add for the batch.
-
-        Without a shared generator every scene reseeds and draws identical
-        noise, so a single ``(N, 3)`` draw broadcast over ``(B, N, 3)``
-        matches the serial loop bit for bit.
-        """
-        if rng is not None:
-            return super().apply_batch(coords, colors, labels, rng=rng)
-        coords = np.asarray(coords)
-        colors = np.asarray(colors)
-        coord_noise, color_noise = self._draw(coords.shape[1:],
-                                              np.random.default_rng(self.seed))
-        jittered = np.asarray(coords, dtype=np.float64) + coord_noise
-        jittered_colors = (np.asarray(colors, dtype=np.float64) + color_noise
-                           if color_noise is not None else colors)
-        return self._transformed_batch(jittered, jittered_colors,
-                                       np.asarray(labels))
 
     def sample_eot(self, coords: np.ndarray, colors: np.ndarray,
                    rng: np.random.Generator) -> EOTSample:

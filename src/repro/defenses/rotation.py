@@ -9,7 +9,7 @@ model's value box for moderate angles.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -62,28 +62,6 @@ class RandomRotation(Defense):
         matrix = self._matrix(rng)
         center = self._center(coords)
         return (coords - center) @ matrix + center, np.asarray(colors)
-
-    def apply_batch(self, coords: np.ndarray, colors: np.ndarray,
-                    labels: np.ndarray,
-                    rng: Optional[np.random.Generator] = None
-                    ) -> List[Dict[str, np.ndarray]]:
-        """Vectorised per-scene-reseed path: one stacked matmul for the batch.
-
-        With no shared generator every scene reseeds from ``self.seed`` and
-        draws the *same* angle, so a single ``(B, N, 3) @ (3, 3)`` product
-        reproduces the serial per-scene rotations bit for bit (centroids
-        stay per-scene).  A shared generator threads one stream through the
-        scenes, which is inherently serial — fall back to the base loop.
-        """
-        if rng is not None:
-            return super().apply_batch(coords, colors, labels, rng=rng)
-        coords = np.asarray(coords)
-        matrix = self._matrix(np.random.default_rng(self.seed))
-        centers = np.stack([self._center(np.asarray(coords[b], dtype=np.float64))
-                            for b in range(coords.shape[0])])      # (B, 1, 3)
-        rotated = (np.asarray(coords, dtype=np.float64) - centers) @ matrix + centers
-        return self._transformed_batch(rotated, np.asarray(colors),
-                                       np.asarray(labels))
 
     def sample_eot(self, coords: np.ndarray, colors: np.ndarray,
                    rng: np.random.Generator) -> EOTSample:

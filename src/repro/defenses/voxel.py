@@ -8,7 +8,7 @@ point survives, only the coordinates change.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -42,16 +42,6 @@ class VoxelQuantization(Defense):
                   rng: Optional[np.random.Generator] = None
                   ) -> Tuple[np.ndarray, np.ndarray]:
         return _quantize(coords, self.cell_size), np.asarray(colors)
-
-    def apply_batch(self, coords: np.ndarray, colors: np.ndarray,
-                    labels: np.ndarray,
-                    rng: Optional[np.random.Generator] = None
-                    ) -> List[Dict[str, np.ndarray]]:
-        """Vectorised: the whole ``(B, N, 3)`` stack quantizes in one op."""
-        coords = np.asarray(coords)
-        quantized = _quantize(coords, self.cell_size)
-        return self._transformed_batch(quantized, np.asarray(colors),
-                                       np.asarray(labels))
 
     def sample_eot(self, coords: np.ndarray, colors: np.ndarray,
                    rng: np.random.Generator) -> EOTSample:

@@ -23,7 +23,6 @@ from repro.core.objectives import performance_degradation_loss
 from repro.core.smoothness import smoothness_penalty
 from repro.datasets import generate_room_scene
 from repro.datasets.s3dis import CLASS_INDEX
-from repro.defenses import SimpleRandomSampling, StatisticalOutlierRemoval
 from repro.models import build_model
 from repro.nn import Tensor
 
@@ -269,24 +268,6 @@ class TestPerSceneReductions:
                                         Tensor(colors.data[scene:scene + 1]),
                                         alpha=4)
             assert per_scene.data[scene] == scalar.item()
-
-
-class TestDefenseBatchAPI:
-    def test_apply_batch_matches_serial_apply(self, scene_pool):
-        coords = np.stack([s.coords[:96] for s in scene_pool[:2]])
-        colors = np.stack([s.colors[:96] / 255.0 for s in scene_pool[:2]])
-        labels = np.stack([s.labels[:96] for s in scene_pool[:2]])
-        for defense in (StatisticalOutlierRemoval(k=2),
-                        SimpleRandomSampling(num_removed=5, seed=3)):
-            batched = defense.apply_batch(coords, colors, labels)
-            assert len(batched) == 2
-            for scene in range(2):
-                single = defense.apply(coords[scene], colors[scene],
-                                       labels[scene])
-                np.testing.assert_array_equal(batched[scene]["indices"],
-                                              single["indices"])
-                np.testing.assert_array_equal(batched[scene]["coords"],
-                                              single["coords"])
 
 
 class TestThreadPinning:

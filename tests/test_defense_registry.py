@@ -1,9 +1,9 @@
 """Registry-wide defense contract suite.
 
 One parametrized suite runs against every entry of the defense registry
-(plus a chained spec): ``apply`` vs ``apply_batch`` bitwise equivalence,
-empty- and single-point-scene behaviour, determinism, output invariants per
-defense kind, and the adaptive-attack ``sample_eot`` contract.  Adding a
+(plus a chained spec): empty- and single-point-scene behaviour of
+``apply``, determinism, output invariants per defense kind, and the
+adaptive-attack ``sample_eot`` contract.  Adding a
 defense: register it in ``repro.defenses.registry`` — the whole contract
 applies with no further test code.
 """
@@ -46,16 +46,6 @@ def stack(rng):
 
 @pytest.mark.parametrize("name", sorted(SPECS))
 class TestDefenseContract:
-    def test_apply_batch_matches_serial(self, stack, name):
-        coords, colors, labels = stack
-        batched = make_defense(name).apply_batch(coords, colors, labels)
-        assert len(batched) == coords.shape[0]
-        for b, filtered in enumerate(batched):
-            serial = make_defense(name).apply(coords[b], colors[b], labels[b])
-            for key in ("coords", "colors", "labels", "indices"):
-                np.testing.assert_array_equal(filtered[key], serial[key],
-                                              err_msg=f"{name}/{key}")
-
     def test_deterministic_without_explicit_rng(self, stack, name):
         coords, colors, labels = stack
         first = make_defense(name).apply(coords[0], colors[0], labels[0])
@@ -69,9 +59,6 @@ class TestDefenseContract:
                                  np.zeros(0, dtype=np.int64))
         assert filtered["indices"].size == 0
         assert filtered["coords"].shape == (0, 3)
-        batched = defense.apply_batch(np.zeros((2, 0, 3)), np.zeros((2, 0, 3)),
-                                      np.zeros((2, 0), dtype=np.int64))
-        assert [f["indices"].size for f in batched] == [0, 0]
 
     def test_single_point_scene(self, name):
         defense = make_defense(name)

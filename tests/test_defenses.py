@@ -108,44 +108,23 @@ class TestSOR:
         assert kept.size == 1
 
 
-class TestApplyBatch:
-    """``apply_batch`` must score every scene exactly like a serial ``apply``."""
+class TestApplyEdgeCases:
+    """``apply`` on a one-point cloud and with an explicit generator."""
 
-    @staticmethod
-    def _stack(rng, batch, points):
-        coords = rng.normal(size=(batch, points, 3))
-        colors = rng.uniform(size=(batch, points, 3))
-        labels = rng.integers(0, 5, size=(batch, points))
-        return coords, colors, labels
-
-    @pytest.mark.parametrize("defense_factory", [
-        lambda: SimpleRandomSampling(num_removed=7, seed=3),
-        lambda: StatisticalOutlierRemoval(k=2, std_multiplier=1.0),
-    ], ids=["srs", "sor"])
-    def test_batch_matches_serial(self, rng, defense_factory):
-        coords, colors, labels = self._stack(rng, batch=4, points=40)
-        batched = defense_factory().apply_batch(coords, colors, labels)
-        assert len(batched) == 4
-        for b, filtered in enumerate(batched):
-            serial = defense_factory().apply(coords[b], colors[b], labels[b])
-            np.testing.assert_array_equal(filtered["indices"], serial["indices"])
-            np.testing.assert_array_equal(filtered["coords"], serial["coords"])
-            np.testing.assert_array_equal(filtered["colors"], serial["colors"])
-            np.testing.assert_array_equal(filtered["labels"], serial["labels"])
-
-    def test_srs_shared_rng_differs_from_per_scene_reseed(self, rng):
-        """An explicit shared generator threads one stream through the batch."""
-        coords, colors, labels = self._stack(rng, batch=3, points=30)
+    def test_srs_shared_rng_differs_from_reseed(self, rng):
+        """An explicit generator threads one stream through successive
+        calls; without one, every call reseeds from the defense's seed."""
+        coords = rng.normal(size=(30, 3))
+        colors = rng.uniform(size=(30, 3))
+        labels = rng.integers(0, 5, size=30)
         defense = SimpleRandomSampling(num_removed=5, seed=0)
-        reseeded = defense.apply_batch(coords, colors, labels)
-        shared = defense.apply_batch(coords, colors, labels,
-                                     rng=np.random.default_rng(0))
-        # Per-scene reseeding drops the same indices in every scene; a
-        # shared stream keeps advancing instead.
-        assert all(np.array_equal(reseeded[0]["indices"], r["indices"])
-                   for r in reseeded)
-        assert any(not np.array_equal(a["indices"], b["indices"])
-                   for a, b in zip(reseeded, shared))
+        reseeded = [defense.apply(coords, colors, labels)["indices"]
+                    for _ in range(3)]
+        stream = np.random.default_rng(0)
+        shared = [defense.apply(coords, colors, labels, rng=stream)["indices"]
+                  for _ in range(3)]
+        assert all(np.array_equal(reseeded[0], r) for r in reseeded)
+        assert any(not np.array_equal(a, b) for a, b in zip(reseeded, shared))
 
     @pytest.mark.parametrize("defense_factory, kept", [
         # SRS clamps removals to the cloud size: asking for 7 of 1 point
@@ -155,34 +134,11 @@ class TestApplyBatch:
         (lambda: StatisticalOutlierRemoval(k=2, std_multiplier=1.0), 1),
     ], ids=["srs", "sor"])
     def test_single_point_scenes(self, defense_factory, kept):
-        coords = np.zeros((2, 1, 3))
-        colors = np.full((2, 1, 3), 0.5)
-        labels = np.zeros((2, 1), dtype=np.int64)
-        for filtered in defense_factory().apply_batch(coords, colors, labels):
-            np.testing.assert_array_equal(filtered["indices"],
-                                          np.arange(kept))
-            assert filtered["coords"].shape == (kept, 3)
-
-    @pytest.mark.parametrize("defense_factory", [
-        lambda: SimpleRandomSampling(num_removed=7, seed=3),
-        lambda: StatisticalOutlierRemoval(k=2, std_multiplier=1.0),
-    ], ids=["srs", "sor"])
-    def test_empty_scenes(self, defense_factory):
-        """Zero-point clouds filter to zero points instead of raising."""
-        defense = defense_factory()
-        filtered = defense.apply(np.zeros((0, 3)), np.zeros((0, 3)),
-                                 np.zeros(0, dtype=np.int64))
-        assert filtered["indices"].size == 0
-        assert filtered["coords"].shape == (0, 3)
-        batched = defense.apply_batch(np.zeros((2, 0, 3)), np.zeros((2, 0, 3)),
-                                      np.zeros((2, 0), dtype=np.int64))
-        assert [f["indices"].size for f in batched] == [0, 0]
-
-    def test_empty_batch(self):
-        batched = StatisticalOutlierRemoval(k=2).apply_batch(
-            np.zeros((0, 5, 3)), np.zeros((0, 5, 3)),
-            np.zeros((0, 5), dtype=np.int64))
-        assert batched == []
+        filtered = defense_factory().apply(np.zeros((1, 3)),
+                                           np.full((1, 3), 0.5),
+                                           np.zeros(1, dtype=np.int64))
+        np.testing.assert_array_equal(filtered["indices"], np.arange(kept))
+        assert filtered["coords"].shape == (kept, 3)
 
 
 class TestEvaluateWithDefense:
