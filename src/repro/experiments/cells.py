@@ -15,7 +15,7 @@ stay small inside the content-addressed result store.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from ..defenses import (build_defense, evaluate_results_with_defense,
                         evaluate_with_defense)
 from ..geometry.transforms import remap_range
 from ..metrics.segmentation import accuracy_score
+from ..metrics.summary import mean_field
 from ..pipeline.graph import Task, TaskGraph
 from ..pipeline.scheduler import PipelineError, run_graph
 from ..pipeline.worker import register_executor
@@ -101,6 +102,26 @@ def _record(result) -> Dict[str, Any]:
         # their history; white-box cells report None).
         "queries": (history[-1].get("queries") if history else None),
     }
+
+
+#: Row column and outcome field of each rate the hiding tables report.
+_HIDING_RATES = (("psr_pct", "psr"), ("oob_acc_pct", "oob_accuracy"),
+                 ("acc_pct", "accuracy"), ("oob_aiou_pct", "oob_aiou"),
+                 ("aiou_pct", "aiou"))
+
+
+def hiding_summary(records) -> Tuple[Dict[str, float], Dict[str, float]]:
+    """One object-hiding cell of Tables IV, V or VII: ``(means, row values)``.
+
+    The means are the cell's L2, PSR and out-of-band and overall accuracy
+    and aIoU; the row values are its ``l2`` and each rate in percent.
+    """
+    outcomes = [r["outcome"] for r in records]
+    cell = {"l2": float(np.mean([r["l2"] for r in records]))}
+    cell.update({name: mean_field(outcomes, name) for _, name in _HIDING_RATES})
+    row = {"l2": cell["l2"]}
+    row.update({column: cell[name] * 100.0 for column, name in _HIDING_RATES})
+    return cell, row
 
 
 # ---------------------------------------------------------------------- #
@@ -317,6 +338,7 @@ __all__ = [
     "add_model_task",
     "dataset_task_id",
     "execute_plan",
+    "hiding_summary",
     "model_task_id",
     "paper_defense_specs",
     "pool_spec",

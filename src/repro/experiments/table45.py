@@ -15,13 +15,10 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Optional
 
-import numpy as np
-
 from ..datasets.s3dis import CLASS_INDEX, S3DIS_CLASS_NAMES
-from ..metrics.summary import mean_field
 from ..pipeline.graph import Task, TaskGraph
 from ..pipeline.worker import register_executor
-from .cells import add_model_task, execute_plan, pool_spec
+from .cells import add_model_task, execute_plan, hiding_summary, pool_spec
 from .context import ExperimentConfig, ExperimentContext
 from .reporting import TableResult
 
@@ -83,28 +80,10 @@ def _assemble_hiding_table(context: ExperimentContext,
             records = payload["records"]
             if not records:
                 continue
-            outcomes = [r["outcome"] for r in records]
-            source_index = CLASS_INDEX[source_name]
-            cell = {
-                "l2": float(np.mean([r["l2"] for r in records])),
-                "psr": mean_field(outcomes, "psr"),
-                "oob_accuracy": mean_field(outcomes, "oob_accuracy"),
-                "accuracy": mean_field(outcomes, "accuracy"),
-                "oob_aiou": mean_field(outcomes, "oob_aiou"),
-                "aiou": mean_field(outcomes, "aiou"),
-            }
+            cell, values = hiding_summary(records)
             cells[f"{model_name}/{source_name}"] = cell
-            rows.append({
-                "model": model_name,
-                "source_class": source_name,
-                "source_label": source_index,
-                "l2": cell["l2"],
-                "psr_pct": cell["psr"] * 100.0,
-                "oob_acc_pct": cell["oob_accuracy"] * 100.0,
-                "acc_pct": cell["accuracy"] * 100.0,
-                "oob_aiou_pct": cell["oob_aiou"] * 100.0,
-                "aiou_pct": cell["aiou"] * 100.0,
-            })
+            rows.append({"model": model_name, "source_class": source_name,
+                         "source_label": CLASS_INDEX[source_name], **values})
 
     return TableResult(
         name=name,

@@ -19,10 +19,10 @@ from typing import Any, Dict, List, Mapping, Optional
 import numpy as np
 
 from ..datasets.semantic3d import CLASS_INDEX, PAPER_LABELS, SEMANTIC3D_CLASS_NAMES
-from ..metrics.summary import mean_field, summarize_outcomes
+from ..metrics.summary import summarize_outcomes
 from ..pipeline.graph import Task, TaskGraph
 from ..pipeline.worker import register_executor
-from .cells import add_model_task, execute_plan, pool_spec
+from .cells import add_model_task, execute_plan, hiding_summary, pool_spec
 from .context import ExperimentConfig, ExperimentContext
 from .reporting import TableResult
 
@@ -139,26 +139,10 @@ def _assemble_table7(context: ExperimentContext, params: Mapping[str, Any],
         records = payload["records"]
         if not records:
             continue
-        outcomes = [r["outcome"] for r in records]
-        cell = {
-            "l2": float(np.mean([r["l2"] for r in records])),
-            "psr": mean_field(outcomes, "psr"),
-            "oob_accuracy": mean_field(outcomes, "oob_accuracy"),
-            "accuracy": mean_field(outcomes, "accuracy"),
-            "oob_aiou": mean_field(outcomes, "oob_aiou"),
-            "aiou": mean_field(outcomes, "aiou"),
-        }
+        cell, values = hiding_summary(records)
         cells[target_name] = cell
-        rows.append({
-            "target_class": target_name,
-            "target_label_paper": PAPER_LABELS[target_name],
-            "l2": cell["l2"],
-            "psr_pct": cell["psr"] * 100.0,
-            "oob_acc_pct": cell["oob_accuracy"] * 100.0,
-            "acc_pct": cell["accuracy"] * 100.0,
-            "oob_aiou_pct": cell["oob_aiou"] * 100.0,
-            "aiou_pct": cell["aiou"] * 100.0,
-        })
+        rows.append({"target_class": target_name,
+                     "target_label_paper": PAPER_LABELS[target_name], **values})
 
     return TableResult(
         name="table7",
