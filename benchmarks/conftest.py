@@ -21,10 +21,9 @@ Orthogonally, ``REPRO_ACCEL=fast|exact`` forces the :mod:`repro.accel`
 compute policy for every attack regardless of configuration: ``fast`` is
 float32 with a 5-step neighbourhood refresh (the default for the fast-scale
 attack profile these benchmarks use), ``exact`` is the bit-for-bit seed
-arithmetic.  The committed ``BENCH_baseline.json`` / ``BENCH_accel.json``
-pair records the pre-accel and post-accel one-shot timings of this suite at
-identical configuration; ``python benchmarks/compare.py`` prints the
-per-table speedups.
+arithmetic.  To compare two runs of this suite on one machine, save each
+with ``--benchmark-json FILE`` and run ``python benchmarks/compare.py
+BASELINE CANDIDATE`` for the per-table speedups.
 
 Every benchmark uses ``benchmark.pedantic(..., rounds=1, iterations=1)``:
 the measured quantity is the one-shot wall-clock cost of regenerating the
