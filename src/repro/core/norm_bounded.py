@@ -60,7 +60,6 @@ class NormBoundedAttack(AttackEngine):
             return float(np.sum(((adv_colors[b] - colors[b]) * mask3[b]) ** 2)
                          + np.sum(((adv_coords[b] - coords[b]) * mask3[b]) ** 2))
 
-        # Adaptive mode pins the neighbourhood cache to content-exact keying.
         with attack_compute(self.model, config,
                             neighbor_refresh=eot_refresh(batch.eot)) as cache:
             for step in range(1, config.bounded_steps + 1):

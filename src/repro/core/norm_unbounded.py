@@ -61,7 +61,6 @@ class NormUnboundedAttack(AttackEngine):
         best_predictions: List[Optional[np.ndarray]] = [None] * batch.size
         plateau = np.zeros(batch.size, dtype=np.int64)
 
-        # Adaptive mode pins the neighbourhood cache to content-exact keying.
         with attack_compute(self.model, config,
                             neighbor_refresh=eot_refresh(batch.eot)) as cache:
             smooth_source = (coords
