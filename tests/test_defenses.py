@@ -108,10 +108,11 @@ class TestSOR:
         assert kept.size == 1
 
 
-class TestApplyEdgeCases:
-    """``apply`` on a one-point cloud and with an explicit generator."""
+class TestApplyBatch:
+    """A defense applied to several scenes, one ``apply`` call per scene,
+    as ``evaluate_with_defense`` scores a batch."""
 
-    def test_srs_shared_rng_differs_from_reseed(self, rng):
+    def test_srs_shared_rng_differs_from_per_scene_reseed(self, rng):
         """An explicit generator threads one stream through successive
         calls; without one, every call reseeds from the defense's seed."""
         coords = rng.normal(size=(30, 3))
@@ -134,11 +135,29 @@ class TestApplyEdgeCases:
         (lambda: StatisticalOutlierRemoval(k=2, std_multiplier=1.0), 1),
     ], ids=["srs", "sor"])
     def test_single_point_scenes(self, defense_factory, kept):
-        filtered = defense_factory().apply(np.zeros((1, 3)),
-                                           np.full((1, 3), 0.5),
-                                           np.zeros(1, dtype=np.int64))
-        np.testing.assert_array_equal(filtered["indices"], np.arange(kept))
-        assert filtered["coords"].shape == (kept, 3)
+        defense = defense_factory()
+        for _ in range(2):
+            filtered = defense.apply(np.zeros((1, 3)), np.full((1, 3), 0.5),
+                                     np.zeros(1, dtype=np.int64))
+            np.testing.assert_array_equal(filtered["indices"],
+                                          np.arange(kept))
+            assert filtered["coords"].shape == (kept, 3)
+
+    @pytest.mark.parametrize("defense_factory", [
+        lambda: SimpleRandomSampling(num_removed=7, seed=3),
+        lambda: StatisticalOutlierRemoval(k=2, std_multiplier=1.0),
+    ], ids=["srs", "sor"])
+    def test_empty_scenes(self, defense_factory):
+        """Zero-point clouds filter to zero points instead of raising, also
+        when one generator is shared across the scenes."""
+        defense = defense_factory()
+        stream = np.random.default_rng(0)
+        for rng in (None, stream, stream):
+            filtered = defense.apply(np.zeros((0, 3)), np.zeros((0, 3)),
+                                     np.zeros(0, dtype=np.int64), rng=rng)
+            assert filtered["indices"].size == 0
+            assert filtered["coords"].shape == (0, 3)
+            assert filtered["labels"].shape == (0,)
 
 
 class TestEvaluateWithDefense:
