@@ -11,7 +11,8 @@ This package concentrates the performance knobs that every other subsystem
 * :func:`attack_compute` — the single context manager attack engines wrap
   around their optimisation loop: it activates the dtype policy, casts the
   victim model, freezes its parameters (input gradients only) and installs
-  a fresh neighbourhood cache and forward-plan cache.
+  a fresh neighbourhood cache and forward-plan cache.  On its first entry
+  in a process it also makes the allocator keep freed memory.
 
 Exactness contract: under ``ComputePolicy.exact()`` every code path in this
 layer is bit-for-bit identical to the seed implementation — verified by the
@@ -19,6 +20,7 @@ golden regression test in ``tests/test_accel.py``.
 """
 
 import os
+import resource
 import time
 from contextlib import contextmanager, nullcontext
 from typing import Dict, Iterator
@@ -55,8 +57,14 @@ def attack_compute(model, config, *,
     packed into a forward, and their probe clouds change every step anyway —
     a content-exact cache keeps serial and ``batch_scenes`` runs bit-for-bit
     identical while still memoising the unchanged-coordinate lookups.
+
+    The first entry in a process sets the allocator rule of
+    :func:`_keep_freed_memory`, which stays for the life of the process.
+    While tracing, ``attack_run`` also reports the block's user and system
+    CPU time and minor page faults (``user_s``, ``sys_s``, ``minflt``).
     """
     global _last_attack_stats, _last_plan_stats
+    _keep_freed_memory()
     # Imported lazily: repro.nn consults this package on every Tensor
     # creation, so the module-level dependency must point nn -> accel only.
     from ..nn.compile import PlanCache, use_plan_cache
@@ -68,6 +76,7 @@ def attack_compute(model, config, *,
     cache.reset_stats()
     plans = PlanCache()
     tracer = get_tracer()
+    usage = resource.getrusage(_RUSAGE_WHO) if tracer.enabled else None
     start = time.perf_counter()
     try:
         with use_policy(policy), cast_model(model, policy.dtype), \
@@ -80,10 +89,17 @@ def attack_compute(model, config, *,
         _last_plan_stats = dict(plans.stats)
         record_cache_stats(stats)
         if tracer.enabled:
+            dur_s = time.perf_counter() - start
+            rusage = {}
+            if usage is not None:
+                now = resource.getrusage(_RUSAGE_WHO)
+                rusage = dict(user_s=now.ru_utime - usage.ru_utime,
+                              sys_s=now.ru_stime - usage.ru_stime,
+                              minflt=now.ru_minflt - usage.ru_minflt)
             tracer.emit("attack_run",
                         engine=getattr(config, "engine_name", None),
                         regime=getattr(config, "cache_regime", None),
-                        dur_s=time.perf_counter() - start,
+                        dur_s=dur_s, **rusage,
                         steps=stats["step"], dtype=str(policy.dtype),
                         refresh=cache.refresh_interval, cache=stats,
                         plans=_last_plan_stats)
@@ -93,6 +109,50 @@ def attack_compute(model, config, *,
                 tracer.count(f"cache.{key}", stats[key])
             tracer.count("plan.replays", plans.stats["replays"])
             tracer.count("plan.captures", plans.stats["captures"])
+
+
+# The attacking thread's own usage where the platform can tell it apart.
+_RUSAGE_WHO = getattr(resource, "RUSAGE_THREAD", resource.RUSAGE_SELF)
+
+# glibc <malloc.h> parameter numbers, and the threshold both are set to: the
+# largest per-step array at paper shape, PCT's 4096 x 4096 float64 scores, is
+# 128 MiB, and mallopt takes an int.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_KEEP_FREED_BYTES = 1 << 30
+_freed_memory_kept = False
+
+
+def _keep_freed_memory() -> None:
+    """Keep the memory an attack step frees for the next step (once).
+
+    glibc serves every allocation above its mmap threshold, which stops
+    growing at 32 MiB on 64-bit, from a fresh mapping that the kernel
+    zero-fills and ``free`` unmaps, and it trims the heap's top back to the
+    kernel when it is free.  Attack steps repeat the same large temporaries
+    (ResGCN's edge features, PCT's attention scores), so each step paid
+    those page faults again.  Raising both thresholds to 1 GiB serves them
+    from the heap and keeps them there; the process's peak stays resident
+    until it exits.  Setting either switches glibc's dynamic thresholds off
+    for good (mallopt(3)), so this runs once per process and is never
+    undone.  Without a libc ``mallopt`` (macOS) nothing changes.
+    """
+    global _freed_memory_kept
+    if _freed_memory_kept:
+        return
+    _freed_memory_kept = True
+    mallopt = _libc_mallopt()
+    if mallopt is not None:
+        mallopt(_M_MMAP_THRESHOLD, _KEEP_FREED_BYTES)
+        mallopt(_M_TRIM_THRESHOLD, _KEEP_FREED_BYTES)
+
+
+def _libc_mallopt():
+    """The C library's ``mallopt``, or ``None`` where it has none."""
+    import ctypes
+    try:
+        return getattr(ctypes.CDLL(None), "mallopt", None)
+    except (OSError, TypeError):
+        return None
 
 
 def _maybe_profile(tracer):

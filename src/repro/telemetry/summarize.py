@@ -4,8 +4,8 @@
 event families the trace contains:
 
 * the run manifest (code version, host, config salt / compute policy);
-* per-engine attack summaries (runs, steps, wall time, ms/step) and step
-  curves (mean loss by optimisation step);
+* per-engine attack summaries (runs, steps, wall and system time, ms/step)
+  and step curves (mean loss by optimisation step);
 * neighbourhood-cache efficiency (lookups and hit rate per regime, then
   the exact/stale/miss/tree totals);
 * scheduler utilization: the per-task span table, busy-vs-wall utilization,
@@ -84,22 +84,24 @@ def _engine_section(runs: List[Dict[str, Any]],
     if not runs and not steps:
         return lines + ["(no attack events)"]
     per_engine: Dict[str, Dict[str, float]] = defaultdict(
-        lambda: {"runs": 0, "steps": 0, "wall": 0.0, "events": 0})
+        lambda: {"runs": 0, "steps": 0, "wall": 0.0, "sys": 0.0,
+                 "events": 0})
     for run in runs:
         row = per_engine[str(run.get("engine"))]
         row["runs"] += 1
         row["steps"] += run.get("steps", 0)
         row["wall"] += run.get("dur_s", 0.0)
+        row["sys"] += run.get("sys_s", 0.0)
     for step in steps:
         per_engine[str(step.get("engine"))]["events"] += 1
     lines.append(f"{'engine':<12} {'runs':>5} {'steps':>7} {'events':>7} "
-                 f"{'wall_s':>8} {'ms/step':>8}")
+                 f"{'wall_s':>8} {'sys_s':>7} {'ms/step':>8}")
     for engine in sorted(per_engine):
         row = per_engine[engine]
         ms = (row["wall"] / row["steps"] * 1e3) if row["steps"] else 0.0
         lines.append(f"{engine:<12} {int(row['runs']):>5d} "
                      f"{int(row['steps']):>7d} {int(row['events']):>7d} "
-                     f"{row['wall']:>8.2f} {ms:>8.2f}")
+                     f"{row['wall']:>8.2f} {row['sys']:>7.2f} {ms:>8.2f}")
     return lines
 
 

@@ -23,7 +23,8 @@ Event vocabulary (see the README schema table):
 ``attack_converged``
     A scene satisfied its ``Converge(·)`` criterion.
 ``attack_run``
-    One engine run: duration, steps, and the per-run cache counters.
+    One engine run: duration, CPU time and minor faults, steps, and the
+    per-run cache counters.
 ``task`` / ``run_report``
     Scheduler bookkeeping: per-task spans and the end-of-run rollup.
 ``task_retry`` / ``task_timeout`` / ``pool_rebuild``

@@ -9,9 +9,12 @@ Covers the three contracts the layer makes:
 * **NeighborhoodCache** — exact hits on unchanged content, stale reuse only
   inside the refresh window, invalidation on coordinate updates;
 * **model casting / freezing** — parameters are viewed in float32 inside an
-  attack context and restored (same objects, same bits) afterwards.
+  attack context and restored (same objects, same bits) afterwards;
+* **allocator rule** — after its first attack context a process keeps the
+  large arrays it frees in its heap (glibc only).
 """
 
+import ctypes
 import hashlib
 import json
 import os
@@ -503,3 +506,65 @@ class TestModelCasting:
             logits.sum().backward()
             assert coords_t.grad is not None
             assert all(p.grad is None for p in model.parameters())
+
+
+# ---------------------------------------------------------------------- #
+# The allocator rule attack_compute sets once per process
+# ---------------------------------------------------------------------- #
+class _Mallinfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks",
+        "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+
+def _libc_mallinfo2():
+    try:
+        mallinfo2 = getattr(ctypes.CDLL(None), "mallinfo2", None)
+    except (OSError, TypeError):
+        return None
+    if mallinfo2 is not None:
+        mallinfo2.restype = _Mallinfo2
+    return mallinfo2
+
+
+_MALLINFO2 = _libc_mallinfo2()
+
+
+@pytest.mark.skipif(_MALLINFO2 is None, reason="needs glibc's mallinfo2")
+class TestAllocatorRule:
+    def _model(self):
+        model = build_model("resgcn", num_classes=13, hidden=16, num_blocks=2,
+                            seed=0)
+        model.eval()
+        return model
+
+    def test_large_arrays_stay_in_the_heap(self):
+        """A 64 MiB array, above glibc's largest dynamic mmap threshold
+        (32 MiB), is a heap chunk after an attack context, not a mapping,
+        and freeing it does not trim the heap."""
+        with attack_compute(self._model(), AttackConfig.fast()):
+            pass
+        before = _MALLINFO2()
+        big = np.ones(8 << 20)
+        held = _MALLINFO2()
+        assert held.hblkhd == before.hblkhd
+        del big
+        assert _MALLINFO2().arena == held.arena
+
+    def test_attack_without_mallopt_is_unchanged(self, monkeypatch):
+        import repro.accel as accel
+        config = _golden_config("bounded", "color")
+        expected = run_attack(self._model(), _golden_scene(), config)
+        lookups = []
+        monkeypatch.setattr(accel, "_freed_memory_kept", False)
+        monkeypatch.setattr(accel, "_libc_mallopt",
+                            lambda: lookups.append(1))
+        result = run_attack(self._model(), _golden_scene(), config)
+        run_attack(self._model(), _golden_scene(), config)
+        assert lookups == [1]           # looked up once per process
+        np.testing.assert_array_equal(result.adversarial_colors,
+                                      expected.adversarial_colors)
+        np.testing.assert_array_equal(result.adversarial_coords,
+                                      expected.adversarial_coords)
+        assert result.history == expected.history
+        assert result.l2 == expected.l2

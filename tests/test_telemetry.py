@@ -314,6 +314,28 @@ class TestAttackRunStats:
         assert len(runs) == 2
         assert runs[0]["cache"] == runs[1]["cache"]
 
+    def test_cpu_time_and_faults_reported_per_run(self, telemetry_model,
+                                                   telemetry_scenes,
+                                                   tmp_path):
+        """``attack_run`` carries the block's user and system time and minor
+        faults, and the engine table prints the system time."""
+        path = tmp_path / "trace.jsonl"
+        with trace_to(str(path)):
+            run_attack(telemetry_model, telemetry_scenes[0],
+                       make_config("bounded", "fast"))
+        run_event = next(e for e in read_events(str(path))
+                         if e["type"] == "attack_run")
+        assert run_event["user_s"] >= 0 and run_event["sys_s"] >= 0
+        assert isinstance(run_event["minflt"], int)
+        assert run_event["minflt"] >= 0
+        table = summarize_path(str(path)).split(
+            "== attack engines ==\n")[1].split("\n\n")[0].splitlines()
+        assert table[0].split() == ["engine", "runs", "steps", "events",
+                                    "wall_s", "sys_s", "ms/step"]
+        row = dict(zip(table[0].split(), table[1].split()))
+        assert row["engine"] == "bounded"
+        assert row["sys_s"] == f"{run_event['sys_s']:.2f}"
+
 
 class TestStatsCollector:
     def test_collects_attack_and_ambient_deltas(self, telemetry_model,
