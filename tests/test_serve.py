@@ -15,7 +15,6 @@ import asyncio
 import json
 import os
 import socket
-import threading
 import time
 from unittest import mock
 
