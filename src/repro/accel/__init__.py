@@ -125,16 +125,16 @@ _freed_memory_kept = False
 def _keep_freed_memory() -> None:
     """Keep the memory an attack step frees for the next step (once).
 
-    glibc serves every allocation above its mmap threshold, which stops
+    glibc serves an allocation above its mmap threshold, which stops
     growing at 32 MiB on 64-bit, from a fresh mapping that the kernel
-    zero-fills and ``free`` unmaps, and it trims the heap's top back to the
-    kernel when it is free.  Attack steps repeat the same large temporaries
-    (ResGCN's edge features, PCT's attention scores), so each step paid
-    those page faults again.  Raising both thresholds to 1 GiB serves them
-    from the heap and keeps them there; the process's peak stays resident
-    until it exits.  Setting either switches glibc's dynamic thresholds off
-    for good (mallopt(3)), so this runs once per process and is never
-    undone.  Without a libc ``mallopt`` (macOS) nothing changes.
+    zero-fills and ``free`` unmaps, and it gives a free heap top back to
+    the kernel.  Attack steps repeat the same large temporaries (ResGCN's
+    edge features, PCT's attention scores), so every step paid those page
+    faults again.  With both thresholds at 1 GiB they come from the heap
+    and stay there, and the process keeps its peak resident until it
+    exits.  Setting either switches glibc's dynamic thresholds off for good
+    (mallopt(3)), so this runs once per process and is never undone.
+    Without a libc ``mallopt`` (macOS) nothing changes.
     """
     global _freed_memory_kept
     if _freed_memory_kept:
@@ -147,12 +147,15 @@ def _keep_freed_memory() -> None:
 
 
 def _libc_mallopt():
-    """The C library's ``mallopt``, or ``None`` where it has none."""
+    """The C library's ``int mallopt(int, int)``, or ``None`` without one."""
     import ctypes
     try:
-        return getattr(ctypes.CDLL(None), "mallopt", None)
-    except (OSError, TypeError):
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
         return None
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return mallopt
 
 
 def _maybe_profile(tracer):

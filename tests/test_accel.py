@@ -523,6 +523,7 @@ def _libc_mallinfo2():
     except (OSError, TypeError):
         return None
     if mallinfo2 is not None:
+        mallinfo2.argtypes = ()
         mallinfo2.restype = _Mallinfo2
     return mallinfo2
 
