@@ -89,7 +89,6 @@ def attack_compute(model, config, *,
         _last_plan_stats = dict(plans.stats)
         record_cache_stats(stats)
         if tracer.enabled:
-            dur_s = time.perf_counter() - start
             rusage = {}
             if usage is not None:
                 now = resource.getrusage(_RUSAGE_WHO)
@@ -99,7 +98,7 @@ def attack_compute(model, config, *,
             tracer.emit("attack_run",
                         engine=getattr(config, "engine_name", None),
                         regime=getattr(config, "cache_regime", None),
-                        dur_s=dur_s, **rusage,
+                        dur_s=time.perf_counter() - start, **rusage,
                         steps=stats["step"], dtype=str(policy.dtype),
                         refresh=cache.refresh_interval, cache=stats,
                         plans=_last_plan_stats)
