@@ -519,12 +519,11 @@ class _Mallinfo2(ctypes.Structure):
 
 def _libc_mallinfo2():
     try:
-        mallinfo2 = getattr(ctypes.CDLL(None), "mallinfo2", None)
-    except (OSError, TypeError):
+        mallinfo2 = ctypes.CDLL(None).mallinfo2
+    except (OSError, AttributeError):
         return None
-    if mallinfo2 is not None:
-        mallinfo2.argtypes = ()
-        mallinfo2.restype = _Mallinfo2
+    mallinfo2.argtypes = ()
+    mallinfo2.restype = _Mallinfo2
     return mallinfo2
 
 
