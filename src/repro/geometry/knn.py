@@ -7,8 +7,14 @@ SOR defense).
 
 Performance notes (the attack hot path calls these every step):
 
-* every kd-tree query runs with ``workers=-1`` so SciPy fans the query
-  points out over all cores;
+* a kd-tree query fans out over :func:`query_workers` threads: all cores
+  (``-1``) in a lone process, 1 in pipeline and serve workers and in any
+  process that calls :func:`repro.accel.threads.pin_compute_threads`;
+  ``REPRO_KNN_WORKERS``, when set, overrides both;
+* SciPy is imported by :func:`build_tree`, at the first tree a process
+  builds, so importing the framework does not load it (fork-mode worker
+  pools import it in the parent, see
+  :func:`repro.pipeline.executors.pool_mp_context`);
 * callers that issue several queries against the same point set (different
   ``k``, different dilations) can build the tree once with
   :func:`build_tree` and pass it back in — the
@@ -20,9 +26,12 @@ Performance notes (the attack hot path calls these every step):
 from __future__ import annotations
 
 import os
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.spatial import cKDTree
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 #: Thread fan-out of cKDTree.query: -1 = all cores (right for a single
 #: process).  The pipeline sets this to 1 inside its worker processes so N
@@ -43,6 +52,7 @@ def query_workers() -> int:
 
 def build_tree(points: np.ndarray) -> cKDTree:
     """Build a kd-tree over ``(N, D)`` points (reusable across queries)."""
+    from scipy.spatial import cKDTree
     return cKDTree(np.asarray(points, dtype=np.float64))
 
 
@@ -101,7 +111,7 @@ def knn_indices(points: np.ndarray, k: int, queries: np.ndarray | None = None,
     k = max(k, 1)
 
     if tree is None:
-        tree = cKDTree(points)
+        tree = build_tree(points)
     if self_query and not include_self:
         wide_k = min(k + 1, n)
         _, idx = tree.query(queries, k=wide_k, workers=_QUERY_WORKERS)
@@ -131,7 +141,7 @@ def knn_indices_batch(points: np.ndarray, k: int,
     """Batched :func:`knn_indices` for arrays of shape ``(B, N, D)``.
 
     One tree is built per batch item and queried for the whole item at once
-    (the per-query fan-out happens inside SciPy with ``workers=-1``).
+    (the per-query fan-out happens inside SciPy, see :func:`query_workers`).
     """
     points = np.asarray(points, dtype=np.float64)
     if queries is None:

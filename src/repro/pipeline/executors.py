@@ -198,10 +198,19 @@ def pool_mp_context():
     """Prefer fork on Linux: workers inherit the executor registry
     (including any test-registered kinds) and the imported modules.
     Elsewhere use spawn — forking after BLAS/ObjC initialisation is unsafe
-    on macOS — and rely on the lazy domain-executor import in the worker."""
+    on macOS — and rely on the lazy domain-executor import in the worker.
+
+    The framework imports SciPy only at its first kd-tree
+    (:func:`repro.geometry.knn.build_tree`), so the fork branch imports
+    ``scipy.spatial`` here, in the parent, before any worker forks: every
+    worker inherits it, as it inherits the rest.  Workers that each
+    imported it at their first tree would each pay the import again, and
+    each would hold its own resident copy of it."""
     methods = multiprocessing.get_all_start_methods()
-    use_fork = sys.platform.startswith("linux") and "fork" in methods
-    return multiprocessing.get_context("fork" if use_fork else "spawn")
+    if sys.platform.startswith("linux") and "fork" in methods:
+        import scipy.spatial  # noqa: F401 — inherited by forked workers
+        return multiprocessing.get_context("fork")
+    return multiprocessing.get_context("spawn")
 
 
 class LocalPoolBackend(ExecutorBackend):

@@ -159,22 +159,28 @@ class Job:
     def __init__(self, spec: JobSpec, key: str) -> None:
         self.spec = spec
         self.key = key
-        self.state = QUEUED
         self.cached = False          # served straight from the result store
-        self.attempts = 0
         self.submissions = 1         # how many submits landed on this job
-        self.retries = 0
-        self.error: Optional[str] = None
-        self.elapsed: Optional[float] = None
-        self.created_at = time.time()
-        self.finished_at: Optional[float] = None
-        self.cancel_requested = False
         self.payload: Any = None     # in-memory result (uncacheable jobs)
         self.events_seen = 0
         self.history: List[Dict[str, Any]] = []
         self.history_truncated = False
         self.subscribers: List[Any] = []     # asyncio.Queue per watcher
         self.done_event: Any = None          # asyncio.Event, set by server
+        self.start_run()
+
+    def start_run(self) -> None:
+        """Reset the fields of one run, as a failed or cancelled job's
+        resubmission starts a fresh one: its attempts, retries and times
+        count from here (``submissions`` keeps counting)."""
+        self.state = QUEUED
+        self.attempts = 0
+        self.retries = 0
+        self.error: Optional[str] = None
+        self.elapsed: Optional[float] = None
+        self.created_at = time.time()
+        self.finished_at: Optional[float] = None
+        self.cancel_requested = False
 
     # ------------------------------------------------------------------ #
     @property

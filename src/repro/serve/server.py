@@ -39,11 +39,12 @@ import asyncio
 import contextlib
 import json
 import logging
+import math
 import os
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..pipeline.executors import (compute_salt_hash, pool_mp_context,
                                   terminate_pool)
@@ -68,6 +69,9 @@ DEFAULT_RESULT_TIMEOUT = 3600.0
 #: Retry policy of a daemon given none: three attempts per job, no deadline.
 DEFAULT_RETRY = RetryPolicy(max_attempts=3)
 
+#: Percentiles of the ``latency`` object in a ``stats`` answer.
+LATENCY_PERCENTILES = (50, 95, 99)
+
 
 def _positive(message: Dict[str, Any], name: str,
               kind: Any = (int, float)) -> Any:
@@ -80,6 +84,26 @@ def _positive(message: Dict[str, Any], name: str,
         noun = "integer" if kind is int else "number"
         raise JobError(f"{name!r} must be a positive {noun}, got {value!r}")
     return value
+
+
+def _latency(jobs: Iterable[Job]) -> Dict[str, Any]:
+    """Nearest-rank percentiles of the request time (``finished_at -
+    created_at``), compute time (``elapsed``) and queue wait (their
+    difference, floored at 0) of the jobs that ran on a worker and
+    finished ``done``; store hits have no compute and are left out."""
+    computed = [job for job in jobs if job.state == DONE and not job.cached]
+    request = [job.finished_at - job.created_at for job in computed]
+    compute = [job.elapsed for job in computed]
+    queue_wait = [max(r - c, 0.0) for r, c in zip(request, compute)]
+
+    def ranks(values: List[float]) -> List[float]:
+        ordered = sorted(values)
+        return [ordered[max(math.ceil(q * len(ordered) / 100) - 1, 0)]
+                for q in LATENCY_PERCENTILES] if ordered else []
+
+    return {"jobs": len(computed), "percentiles": list(LATENCY_PERCENTILES),
+            "request_s": ranks(request), "compute_s": ranks(compute),
+            "queue_wait_s": ranks(queue_wait)}
 
 
 async def _read_frame(reader: asyncio.StreamReader) -> bytes:
@@ -519,9 +543,7 @@ class AttackServer:
         job = Job(spec, key) if existing is None else existing
         if existing is not None:        # resubmission of a failed job
             job.submissions += 1
-            job.state = QUEUED
-            job.error = None
-            job.cancel_requested = False
+            job.start_run()
         job.done_event = asyncio.Event()
         self._jobs[key] = job
 
@@ -671,7 +693,7 @@ class AttackServer:
                   "rebuilds": self.counters["pool_rebuilds"],
                   "task_timeout": self.retry.task_timeout,
                   "max_attempts": self.retry.max_attempts},
-            store=store_stats)
+            store=store_stats, latency=_latency(self._jobs.values()))
 
     # ------------------------------------------------------------------ #
     # Connection handling

@@ -18,6 +18,8 @@ import base64
 import json
 import os
 import socket
+import subprocess
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -797,6 +799,27 @@ class TestStoreCLI:
 # Local pool backend plumbing
 # ---------------------------------------------------------------------- #
 class TestLocalPoolBackend:
+    def test_a_fork_context_imports_scipy_in_the_parent(self):
+        """Importing the executors loads no SciPy; a fork context imports
+        ``scipy.spatial`` so forked workers inherit it.  Checked in a
+        fresh interpreter."""
+        script = ("import sys\n"
+                  "from repro.pipeline.executors import pool_mp_context\n"
+                  "print('scipy' in sys.modules)\n"
+                  "print(pool_mp_context().get_start_method())\n"
+                  "print('scipy.spatial' in sys.modules)\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        loaded, method, loaded_after = proc.stdout.split()
+        assert loaded == "False"
+        if method != "fork":
+            pytest.skip("spawn workers import SciPy at their first tree")
+        assert loaded_after == "True"
+
     def test_direct_submit(self):
         backend = LocalPoolBackend({}, jobs=2)
         backend.start()

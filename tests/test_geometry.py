@@ -1,5 +1,9 @@
 """Unit tests for repro.geometry (kNN, sampling, normalisation)."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -288,3 +292,23 @@ class TestTransforms:
         assert isinstance(MODEL_SPECS["resgcn"], NormalizationSpec)
         assert MODEL_SPECS["pointnet2"].coord_range == (0.0, 3.0)
         assert MODEL_SPECS["resgcn"].coord_range == (-1.0, 1.0)
+
+
+class TestScipyImport:
+    def test_scipy_loads_at_the_first_tree(self):
+        """Importing the framework loads no SciPy; building a kd-tree
+        imports ``scipy.spatial``.  Checked in a fresh interpreter."""
+        script = ("import sys\n"
+                  "import numpy as np\n"
+                  "import repro.experiments, repro.pipeline, repro.serve\n"
+                  "print('scipy' in sys.modules)\n"
+                  "import repro.geometry\n"
+                  "repro.geometry.build_tree(np.zeros((4, 3)))\n"
+                  "print('scipy.spatial' in sys.modules)\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "True"]

@@ -76,6 +76,18 @@ def _serve_flaky(config, params, deps):
     return {"recovered": True}
 
 
+@register_executor("serve:fails_first")
+def _serve_fails_first(config, params, deps):
+    """Fails transiently on its first ``fails`` calls, counted in a file."""
+    with open(params["ledger"], "a+", encoding="utf-8") as handle:
+        handle.write("call\n")
+        handle.seek(0)
+        calls = len(handle.readlines())
+    if calls <= params["fails"]:
+        raise TransientTaskError(f"call {calls} fails")
+    return {"calls": calls}
+
+
 @register_executor("serve:deps_back")
 def _serve_deps_back(config, params, deps):
     """Returns its (revived) dependencies, so the test sees their types."""
@@ -509,6 +521,28 @@ class TestDedup:
             with pytest.raises(ServeError):
                 client.result(again["job_id"])
 
+    def test_a_resubmitted_job_starts_a_fresh_run(self, config, store_dir,
+                                                  tmp_path):
+        """A resubmission gets the whole attempt budget again, and its
+        times count from the resubmission."""
+        params = {"ledger": str(tmp_path / "ledger.txt"), "fails": 3}
+        with ServerThread(_server(config, store_dir,
+                                  retry=_fast_retry(max_attempts=2))) \
+                as address:
+            client = Client(address)
+            ack = client.submit("serve:fails_first", params)
+            with pytest.raises(ServeError, match="call 2 fails"):
+                client.result(ack["job_id"])
+            first = client.status(ack["job_id"])
+            client.submit("serve:fails_first", params)
+            result = client.result(ack["job_id"])
+            status = client.status(ack["job_id"])
+        assert first["state"] == "failed" and first["attempts"] == 2
+        assert result["result"]["value"] == {"calls": 4}
+        assert status["state"] == DONE and status["submissions"] == 2
+        assert status["attempts"] == 2 and status["retries"] == 1
+        assert status["created_at"] > first["finished_at"]
+
 
 # ---------------------------------------------------------------------- #
 # Progress streaming
@@ -631,6 +665,31 @@ class TestLifecycle:
         assert stats["store"]["root"] == store_dir
         assert set(stats["jobs"]) >= {"submitted", "computed", "done",
                                       "dedup_inflight", "dedup_store"}
+
+    def test_stats_latency_covers_computed_jobs(self, config, store_dir):
+        jobs = [{"x": x} for x in range(4)]
+        with ServerThread(_server(config, store_dir)) as address:
+            client = Client(address)
+            for params in jobs:
+                client.result(client.submit("serve:echo", params)["job_id"])
+            latency = client.stats()["latency"]
+            for params in jobs:              # re-requests compute nothing
+                client.result(client.submit("serve:echo", params)["job_id"])
+            assert client.stats()["latency"]["jobs"] == len(jobs)
+        with ServerThread(_server(config, store_dir)) as address:
+            client = Client(address)
+            for params in jobs:              # store hits on a fresh server
+                assert client.submit("serve:echo", params)["cached"]
+            assert client.stats()["latency"] == {
+                "jobs": 0, "percentiles": [50, 95, 99], "request_s": [],
+                "compute_s": [], "queue_wait_s": []}
+        assert latency["jobs"] == len(jobs)
+        assert latency["percentiles"] == [50, 95, 99]
+        for name in ("request_s", "compute_s", "queue_wait_s"):
+            assert len(latency[name]) == 3
+            assert latency[name] == sorted(latency[name])
+        assert all(compute <= request for compute, request
+                   in zip(latency["compute_s"], latency["request_s"]))
 
     def test_hung_job_times_out_and_retries_on_a_fresh_pool(
             self, config, store_dir, tmp_path):
