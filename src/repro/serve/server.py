@@ -541,7 +541,7 @@ class AttackServer:
                                         deduped=True, cached=existing.cached)
 
         job = Job(spec, key) if existing is None else existing
-        if existing is not None:        # resubmission of a failed job
+        if existing is not None:        # a failed or cancelled job: rerun
             job.submissions += 1
             job.start_run()
         job.done_event = asyncio.Event()
