@@ -16,7 +16,7 @@ from typing import List
 import numpy as np
 
 from ..geometry.transforms import NormalizationSpec
-from ..nn import Linear, SharedMLP, Tensor, concatenate, softmax
+from ..nn import Linear, SharedMLP, Tensor, attention, concatenate
 from .base import SegmentationModel, check_inputs
 
 PCT_SPEC = NormalizationSpec(coord_low=0.0, coord_high=1.0)
@@ -33,12 +33,8 @@ class SelfAttentionBlock:
         self.scale = 1.0 / np.sqrt(channels)
 
     def __call__(self, features: Tensor) -> Tensor:
-        queries = self.query(features)                       # (B, N, C)
-        keys = self.key(features)
-        values = self.value(features)
-        scores = queries @ keys.swapaxes(1, 2)               # (B, N, N)
-        attention = softmax(scores, axis=-1, scale=self.scale)
-        attended = attention @ values
+        attended = attention(self.query(features), self.key(features),
+                             self.value(features), scale=self.scale)
         return features + self.output(attended)
 
 

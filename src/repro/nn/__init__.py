@@ -20,6 +20,7 @@ from .compile import (
     use_plan_cache,
 )
 from .functional import (
+    attention,
     cross_entropy,
     dropout,
     hinge,
@@ -98,6 +99,7 @@ __all__ = [
     "Adam",
     "StepLR",
     "softmax",
+    "attention",
     "log_softmax",
     "one_hot",
     "cross_entropy",

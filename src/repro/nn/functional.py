@@ -26,12 +26,37 @@ def softmax(logits: Tensor, axis: int = -1,
     backward recomputes each block's ``exp`` and gives the composite's
     gradient bit for bit; under the fast policy (chosen here, when the op
     is built) it is the closed form ``scale · y · (g − Σ g·y)`` over the
-    output ``y`` the node already holds.
+    output ``y`` the node already holds.  :func:`attention` runs the same
+    forward and exact backward kernels inside its own op, writing in
+    place.
     """
     params = {"axis": axis, "scale": None if scale is None
               else np.asarray(scale, dtype=compute_dtype()),
               "closed_form": not current_policy().is_exact}
     return _apply(OPS["softmax"], (as_tensor(logits),), params)
+
+
+def attention(queries: Tensor, keys: Tensor, values: Tensor,
+              scale: Optional[float] = None) -> Tensor:
+    """Scaled dot-product attention, ``softmax(q @ kᵀ · scale) @ v``.
+
+    Inputs are ``(..., N, C)``; the softmax runs over the keys.  Under the
+    exact policy this is one registry op (``OPS["attention"]``) whose tape
+    keeps only the queries, keys and values: its backward recomputes the
+    N×N scores and attention with the forward's own expressions, so the
+    output and every gradient equal the composite chain's bit for bit.
+    Under the other policies it is that chain — ``matmul``, :func:`softmax`
+    (with its closed-form VJP) and ``matmul`` — which keeps the N×N arrays
+    for the backward instead of recomputing them.
+    """
+    if not current_policy().is_exact:
+        scores = queries @ keys.swapaxes(-1, -2)
+        return softmax(scores, axis=-1, scale=scale) @ values
+    params = {"axis": -1, "scale": None if scale is None
+              else np.asarray(scale, dtype=compute_dtype()),
+              "closed_form": False}
+    return _apply(OPS["attention"], (as_tensor(queries), as_tensor(keys),
+                                     as_tensor(values)), params)
 
 
 def log_softmax(logits: Tensor, axis: int = -1) -> Tensor:
@@ -228,6 +253,7 @@ def knn_interpolate(
 
 __all__ = [
     "softmax",
+    "attention",
     "log_softmax",
     "one_hot",
     "cross_entropy",

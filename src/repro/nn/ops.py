@@ -702,7 +702,8 @@ register("gather_points", _gather_points_fwd, _gather_points_vjp,
 # bit-for-bit those of the composite ops.  A block and its temporaries stay
 # cache-resident; the composite streams every intermediate through memory
 # and keeps it alive for the backward pass.  The VJPs recompute the forward
-# chain of a block instead of saving it.
+# chain of a block instead of saving it.  ``attention`` runs whole matmuls
+# around the softmax's blocks and recomputes the whole N×N chain.
 
 #: Elements per row block.  Paper-shape rows (4096 attention scores, 16×64
 #: pooling inputs) are cut into cache-sized blocks; a default-scale input
@@ -751,10 +752,13 @@ def _shifted_exp(x: np.ndarray, scale, buf: np.ndarray):
     return buf, buf.sum(axis=1, keepdims=True)
 
 
-def _softmax_fwd(inputs, params):
+def _softmax_fwd(inputs, params, out=None):
+    # ``out`` may be the input itself: each block is read into its buffer
+    # before its rows are written.
     x = inputs[0]
     axis, scale = params["axis"], params["scale"]
-    out = np.empty(x.shape, dtype=x.dtype)
+    if out is None:
+        out = np.empty(x.shape, dtype=x.dtype)
     rows, dest = _rows_view(x, axis), _rows_view(out, axis)
     for start, stop, (buf,) in _row_blocks(rows, x.dtype):
         exp, total = _shifted_exp(rows[start:stop], scale, buf)
@@ -762,13 +766,16 @@ def _softmax_fwd(inputs, params):
     return out
 
 
-def _softmax_vjp(grad, out, inputs, params, needs):
+def _softmax_vjp(grad, out, inputs, params, needs, result=None):
+    # ``result`` may be ``grad`` itself: each block reads its rows of
+    # ``grad`` fully before it writes them.
     x = inputs[0]
     axis, scale = params["axis"], params["scale"]
     closed_form = params["closed_form"]
     dtype = np.result_type(grad, x.dtype)
-    result = np.empty(x.shape, dtype=dtype if scale is None
-                      else np.result_type(dtype, scale))
+    if result is None:
+        result = np.empty(x.shape, dtype=dtype if scale is None
+                          else np.result_type(dtype, scale))
     # The output under the closed form, else the input: the array saved.
     rows = _rows_view(out if closed_form else x, axis)
     grads, dest = _rows_view(grad, axis), _rows_view(result, axis)
@@ -810,6 +817,44 @@ def _softmax_save(out, inputs, params, needs):
 # Softmax of ``x · scale`` (``scale`` a 0-d array or None) along ``axis``;
 # ``closed_form`` picks the fast policy's VJP.
 register("softmax", _softmax_fwd, _softmax_vjp, save=_softmax_save)
+
+
+def _attention_fwd(inputs, params):
+    q, k, v = inputs
+    scores = q @ np.swapaxes(k, -1, -2)
+    return _softmax_fwd((scores,), params, out=scores) @ v
+
+
+def _attention_vjp(grad, out, inputs, params, needs):
+    # The composite's VJPs in its backward order, over recomputed scores:
+    # the attention-times-values matmul, the exact softmax VJP (in place),
+    # the scores matmul, and the keys' transpose as a view.  At most two
+    # N×N arrays are alive at once.
+    q, k, v = inputs
+    k_t = np.swapaxes(k, -1, -2)
+    scores = q @ k_t
+    grad_q = grad_k = grad_v = None
+    if needs[2]:
+        attention = _softmax_fwd((scores,), params)
+        grad_v = _unbroadcast(np.swapaxes(attention, -1, -2) @ grad, v.shape)
+        del attention
+    if needs[0] or needs[1]:
+        grad_scores = _unbroadcast(grad @ np.swapaxes(v, -1, -2),
+                                   scores.shape)
+        _softmax_vjp(grad_scores, None, (scores,), params, (True,),
+                     result=grad_scores)
+        del scores
+        grad_q, grad_k_t = _matmul_vjp(grad_scores, None, (q, k_t), None,
+                                       needs[:2])
+        if grad_k_t is not None:
+            grad_k = np.swapaxes(grad_k_t, -1, -2)
+    return (grad_q, grad_k, grad_v)
+
+
+# ``softmax(q @ kᵀ · scale) @ v`` over the last two axes, with the
+# softmax's params (``axis`` −1, ``closed_form`` False).  The tape keeps
+# Q, K and V, not the N×N scores and attention; the VJP recomputes them.
+register("attention", _attention_fwd, _attention_vjp, save=_save_inputs)
 
 
 def _channel_chain(y: np.ndarray, steps, buf: np.ndarray):

@@ -14,6 +14,11 @@ softmax gradient under the fast policy, which is the closed form
 before the neighbour gather) is checked against the exact branch in
 float64.
 
+``OPS["attention"]``, which the exact policy builds for PCT's attention
+blocks, is held to the ``matmul`` → ``softmax`` → ``matmul`` chain it
+replaces the same way: output and every input gradient bit for bit (the
+keys' gradient with the chain's strides too), eager and replayed.
+
 The module also covers the neighbouring contracts of the same change: the
 max VJP computes in its input dtype, and exact unbounded cells reuse their
 best step's prediction instead of a reporting forward.
@@ -34,8 +39,8 @@ from repro.core import AttackConfig, run_attack, run_attack_batch
 from repro.datasets import generate_room_scene
 from repro.models import build_model
 from repro.models.base import SegmentationModel
-from repro.nn import (OPS, BatchNorm, PlanCache, Tensor, bias_bn_relu_max,
-                      detached_max, softmax)
+from repro.nn import (OPS, BatchNorm, PlanCache, Tensor, attention,
+                      bias_bn_relu_max, detached_max, softmax)
 
 BITWISE = os.environ.get("REPRO_GOLDEN_BITWISE", "") == "1"
 POLICIES = {"fast": ComputePolicy.fast(), "exact": ComputePolicy.exact()}
@@ -54,6 +59,11 @@ def composite_softmax(logits: Tensor, axis: int, scale=None) -> Tensor:
     shifted = x - detached_max(x, axis=axis)
     exp = shifted.exp()
     return exp / exp.sum(axis=axis, keepdims=True)
+
+
+def composite_attention(q: Tensor, k: Tensor, v: Tensor,
+                        scale=None) -> Tensor:
+    return softmax(q @ k.swapaxes(1, 2), axis=-1, scale=scale) @ v
 
 
 def composite_bn_relu_max(pre: Tensor, bias, norm: BatchNorm,
@@ -173,6 +183,76 @@ def test_softmax_with_saturated_rows(policy, small_blocks):
 
 
 # ---------------------------------------------------------------------- #
+# attention
+# ---------------------------------------------------------------------- #
+ATTENTION_SHAPES = [(1, 37, 5), (3, 64, 8), (2, 300, 24)]
+#: Which of (queries, keys, values) need a gradient.
+ATTENTION_NEEDS = {"queries": (True, False, False),
+                   "keys": (False, True, False),
+                   "values": (False, False, True),
+                   "all": (True, True, True)}
+
+
+def _attention_inputs(shape):
+    rng = np.random.default_rng(shape[1])
+    arrays = [rng.normal(size=shape) * 3.0 for _ in range(3)]
+    return arrays, rng.normal(size=shape), 1.0 / np.sqrt(shape[-1])
+
+
+@pytest.mark.parametrize("shape", ATTENTION_SHAPES)
+@pytest.mark.parametrize("needs", sorted(ATTENTION_NEEDS))
+@pytest.mark.parametrize("blocks", ["default", "small"])
+def test_attention_matches_composite(shape, needs, blocks, request):
+    if blocks == "small":
+        request.getfixturevalue("small_blocks")
+    arrays, upstream, scale = _attention_inputs(shape)
+    runs = []
+    with use_policy(POLICIES["exact"]):
+        for fn in (attention, composite_attention):
+            tensors = [Tensor(arr, requires_grad=need) for arr, need
+                       in zip(arrays, ATTENTION_NEEDS[needs])]
+            out = fn(*tensors, scale=scale)
+            (out * Tensor(upstream)).sum().backward()
+            runs.append([out.data] + [t.grad for t in tensors])
+    for got, want in zip(*runs):
+        if want is None:
+            assert got is None
+            continue
+        assert_same_bits(got, want)
+        assert got.strides == want.strides     # what the Linear VJPs read
+
+
+@pytest.mark.parametrize("shape", ATTENTION_SHAPES)
+@pytest.mark.parametrize("blocks", ["default", "small"])
+def test_replayed_attention_matches_composite(shape, blocks, request):
+    if blocks == "small":
+        request.getfixturevalue("small_blocks")
+    (q, k, v), _, scale = _attention_inputs(shape)
+    cache = PlanCache()
+    fused = lambda q, k, v: attention(q, k, v, scale=scale)   # noqa: E731
+    with use_policy(POLICIES["exact"]):
+        cache.run(("attention",), fused, q=q[:, ::-1], k=k, v=v)
+        out = cache.run(("attention",), fused, q=q, k=k, v=v)
+        want = composite_attention(Tensor(q), Tensor(k), Tensor(v), scale)
+    assert cache.stats["replays"] == 1
+    assert_same_bits(out, want.data)
+
+
+def test_fast_policy_records_the_composite_attention():
+    from repro.nn.graph import GraphRecorder, recording
+
+    rng = np.random.default_rng(0)
+    tensors = [Tensor(rng.normal(size=(1, 9, 4)), requires_grad=True)
+               for _ in range(3)]
+    recorder = GraphRecorder({})
+    with use_policy(POLICIES["fast"]), recording(recorder):
+        attention(*tensors, scale=0.5)
+    names = [node.op.name for node in recorder.order]
+    assert "attention" not in names
+    assert names.count("matmul") == 2 and "softmax" in names
+
+
+# ---------------------------------------------------------------------- #
 # bn_relu_max
 # ---------------------------------------------------------------------- #
 def _frozen_tail(channels: int, rng, bias: bool = True):
@@ -250,7 +330,7 @@ def test_models_use_the_fused_ops():
     coords = rng.uniform(0, 1, (1, 64, 3))
     colors = rng.uniform(0, 1, (1, 64, 3))
     expected = {"pointnet2": "bn_relu_max", "resgcn": "bn_relu_max",
-                "randlanet": "softmax", "pct": "softmax"}
+                "randlanet": "softmax", "pct": "attention"}
     for name, op in expected.items():
         kwargs = {"num_blocks": 2} if name == "resgcn" else {}
         model = build_model(name, num_classes=13, hidden=16, seed=0, **kwargs)

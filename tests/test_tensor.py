@@ -521,6 +521,28 @@ class TestLifetime:
         assert blocks * array_bytes < forward < (blocks + 1) * array_bytes
         assert x.grad.shape == x.shape
 
+    def test_exact_attention_block_keeps_no_n_by_n_array(self):
+        """PCT's attention block under the exact policy: the tape keeps the
+        queries, keys and values, not the N×N scores and attention (16 MiB
+        at N = 1024), which the backward recomputes."""
+        from repro.accel import ComputePolicy, use_policy
+        from repro.models.pct import SelfAttentionBlock
+
+        points, channels = 1024, 8
+        block = SelfAttentionBlock(channels, np.random.default_rng(0))
+        x = Tensor(np.random.default_rng(1).normal(size=(1, points, channels)),
+                   requires_grad=True)
+        with use_policy(ComputePolicy.exact()):
+            tracemalloc.start()
+            try:
+                out = block(x)
+                forward, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            out.sum().backward()
+        assert forward < points * points * 8      # one float64 N×N array
+        assert x.grad.shape == x.shape
+
     def test_gradient_free_outputs_keep_no_parents(self):
         x = Tensor(np.full((4, 3), 0.5))
         hidden = x * 2.0

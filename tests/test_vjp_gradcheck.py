@@ -27,8 +27,9 @@ import pytest
 from test_tensor import numeric_gradient
 
 from repro.accel import ComputePolicy, use_policy
-from repro.nn import (OPS, BatchNorm, Tensor, bias_bn_relu_max, concatenate,
-                      gather_points, maximum, softmax, stack, where)
+from repro.nn import (OPS, BatchNorm, Tensor, attention, bias_bn_relu_max,
+                      concatenate, gather_points, maximum, softmax, stack,
+                      where)
 from repro.nn.graph import GraphRecorder, recording
 from repro.nn.ops import Standin
 
@@ -136,6 +137,9 @@ CASES = {
     "softmax": _case(lambda a: softmax(a, axis=2, scale=0.5),
                      _shaped(_normal, (2, 5, 4, 3))),
     "bn_relu_max": _bn_tail,
+    "attention": _case(lambda q, k, v: attention(q, k, v, scale=0.5),
+                       _shaped(_normal, (2, 5, 3)), _shaped(_normal, (2, 5, 3)),
+                       _shaped(_normal, (2, 5, 3))),
 }
 
 
