@@ -162,17 +162,18 @@ class Job:
         self.cached = False          # served straight from the result store
         self.submissions = 1         # how many submits landed on this job
         self.payload: Any = None     # in-memory result (uncacheable jobs)
-        self.events_seen = 0
-        self.history: List[Dict[str, Any]] = []
-        self.history_truncated = False
         self.subscribers: List[Any] = []     # asyncio.Queue per watcher
         self.done_event: Any = None          # asyncio.Event, set by server
         self.start_run()
 
     def start_run(self) -> None:
         """Reset the fields of one run, as a failed or cancelled job's
-        resubmission starts a fresh one: its attempts, retries and times
-        count from here (``submissions`` keeps counting)."""
+        resubmission starts a fresh one: its attempts, retries, times and
+        event history count from here (``submissions`` keeps counting), so
+        ``watch`` replays only the current run."""
+        self.events_seen = 0
+        self.history: List[Dict[str, Any]] = []
+        self.history_truncated = False
         self.state = QUEUED
         self.attempts = 0
         self.retries = 0

@@ -30,6 +30,7 @@ from repro.serve import (AttackServer, Client, JobError, JobSpec, ServeError,
                          ServerThread, job_key)
 from repro.serve import protocol
 from repro.serve.jobs import DONE, EVENT_HISTORY_LIMIT, Job
+from repro.serve.server import TERMINAL_EVENTS
 
 # ---------------------------------------------------------------------- #
 # Stub executors (inherited by fork workers)
@@ -542,6 +543,23 @@ class TestDedup:
         assert status["state"] == DONE and status["submissions"] == 2
         assert status["attempts"] == 2 and status["retries"] == 1
         assert status["created_at"] > first["finished_at"]
+
+    def test_watching_a_resubmitted_job_replays_only_its_current_run(
+            self, config, store_dir, tmp_path):
+        """The first run's ``job_failed`` is not replayed, so the stream
+        ends at the current run's ``job_done``."""
+        params = {"ledger": str(tmp_path / "ledger.txt"), "fails": 3}
+        with ServerThread(_server(config, store_dir,
+                                  retry=_fast_retry(max_attempts=2))) \
+                as address:
+            client = Client(address)
+            ack = client.submit("serve:fails_first", params)
+            with pytest.raises(ServeError, match="call 2 fails"):
+                client.result(ack["job_id"])
+            client.submit("serve:fails_first", params)
+            types = [event["type"] for event in client.watch(ack["job_id"])]
+        terminal = [kind for kind in types if kind in TERMINAL_EVENTS]
+        assert terminal == ["job_done"] and types[-1] == "job_done"
 
 
 # ---------------------------------------------------------------------- #
