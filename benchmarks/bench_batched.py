@@ -3,15 +3,15 @@
 Measures ``run_attack_batch`` throughput (scenes/sec) on an 8-scene smoke
 attack cell at ``batch_scenes`` ∈ {1, 4, 8} for every victim architecture,
 and verifies in-process that the batched results are bit-identical per
-scene to the serial ones before timing anything.  Results are written to
-``BENCH_batched.json`` in the pytest-benchmark schema (the committed copy
-documents the win this optimisation landed with).
+scene to the serial ones before timing anything; a mismatch raises.
+Results are written in the pytest-benchmark schema, by default to
+``benchmarks/results/BENCH_batched.json`` (not tracked).
 
 The amortisation is architecture-dependent: PCT's attention folds the batch
 into large GEMMs (the per-op fixed costs vanish), while PointNet++'s
 grouping tensors are memory-bandwidth-bound, so one batched pass costs
-nearly as much as B serial ones.  The committed numbers quantify exactly
-that spread.
+nearly as much as B serial ones.  The per-architecture ``speedup_vs_B1``
+figures show that spread on the machine that runs the script.
 
 Usage::
 
@@ -46,7 +46,7 @@ from repro.datasets import generate_room_scene  # noqa: E402
 from repro.models import build_model  # noqa: E402
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-DEFAULT_OUTPUT = os.path.join(HERE, "BENCH_batched.json")
+DEFAULT_OUTPUT = os.path.join(HERE, "results", "BENCH_batched.json")
 
 NUM_SCENES = 8
 BATCH_SIZES = (1, 4, 8)
@@ -128,6 +128,7 @@ def main(argv=None) -> int:
             print(f"{model_name:10s} B={batch_scenes}: {elapsed:.3f}s "
                   f"{throughput:6.1f} scenes/s  {speedup:.2f}x vs B=1")
 
+    os.makedirs(os.path.dirname(os.path.abspath(args.json)), exist_ok=True)
     with open(args.json, "w", encoding="utf-8") as handle:
         json.dump({"benchmarks": benchmarks}, handle, indent=2)
         handle.write("\n")

@@ -4,9 +4,9 @@ Times each black-box engine (NES, SPSA, decision-based boundary walk) on a
 fixed query budget, serially and with ``batch_scenes`` coalescing — the
 population probes of B scenes share one stacked forward, so the per-op
 dispatch overhead amortises exactly like the white-box batched engines of
-PR 3.  Results are written in the pytest-benchmark schema; the committed
-``BENCH_blackbox.json`` records the reference machine so future perf PRs
-can cite the trajectory with ``benchmarks/compare.py``.
+PR 3.  With ``--json OUT`` the results are written in the pytest-benchmark
+schema, which ``benchmarks/compare.py`` reads to compare two runs made on
+one machine.
 
 Usage::
 

@@ -8,16 +8,14 @@ chair) are harder to hide.
 
 import numpy as np
 
-from repro.experiments import run_table4
-
 from conftest import run_once, save_table
 
 SIMPLE_CLASSES = ("window", "door", "bookcase", "board")
 COMPLEX_CLASSES = ("table", "chair")
 
 
-def test_table4_hiding_unbounded(benchmark, context, results_dir):
-    table = run_once(benchmark, lambda: run_table4(context))
+def test_table4_hiding_unbounded(benchmark, table4, results_dir):
+    table = run_once(benchmark, table4)
     save_table(table, results_dir)
     print("\n" + table.formatted())
 
