@@ -10,18 +10,17 @@ two machines measures the machines, not the code.
 ``--check`` turns the comparison into a CI drift gate::
 
     python benchmarks/compare.py --check BASELINE CANDIDATE \
-        --time-tolerance 3.0 --metric-rtol 0.05
+        --metric-rtol 0.05
 
-Every benchmark present in both files must satisfy
-
-* ``candidate mean <= baseline mean * time-tolerance`` — the factor is
-  deliberately generous because the committed baseline and the CI runner
-  are different machines; it still catches pathological slowdowns; and
-* every numeric ``extra_info`` metric (perturbation distance, accuracy,
-  ...) within ``|candidate - baseline| <= metric-atol + metric-rtol *
-  |baseline|`` (the ``allclose`` convention, so zero-valued baselines like
-  a fully-degraded accuracy stay gateable) — metrics are deterministic up
-  to BLAS/platform rounding, so tight tolerances catch real drift.
+Every benchmark present in both files must keep every numeric
+``extra_info`` metric (perturbation distance, accuracy, ...) within
+``|candidate - baseline| <= metric-atol + metric-rtol * |baseline|`` (the
+``allclose`` convention, so zero-valued baselines like a fully-degraded
+accuracy stay gateable) — metrics are deterministic up to BLAS/platform
+rounding, so tight tolerances catch real drift.  The wall-clocks are
+printed but gate nothing: the committed baseline and the CI runner are
+different machines.  ``--overhead-limit`` gates the telemetry overhead
+ratio, which is measured within the candidate run.
 
 Exit status is non-zero when any gate fails.
 """
@@ -70,9 +69,8 @@ def print_speedups(baseline: dict, candidate: dict) -> int:
     return 0
 
 
-def check_drift(baseline: dict, candidate: dict, time_tolerance: float,
-                metric_rtol: float, metric_atol: float,
-                overhead_limit: float = None) -> int:
+def check_drift(baseline: dict, candidate: dict, metric_rtol: float,
+                metric_atol: float, overhead_limit: float = None) -> int:
     shared = sorted(set(baseline) & set(candidate))
     if not shared:
         print("no common benchmarks between the two files", file=sys.stderr)
@@ -97,16 +95,8 @@ def check_drift(baseline: dict, candidate: dict, time_tolerance: float,
     for name in shared:
         base = baseline[name]
         cand = candidate[name]
-        base_mean = base["stats"]["mean"]
-        cand_mean = cand["stats"]["mean"]
-        status = "ok"
-        if cand_mean > base_mean * time_tolerance:
-            status = "SLOW"
-            failures.append(
-                f"{name}: wall-clock {cand_mean:.2f}s exceeds "
-                f"{base_mean:.2f}s x {time_tolerance:.2f}")
-        print(f"{name}: {base_mean:.2f}s -> {cand_mean:.2f}s "
-              f"(limit {base_mean * time_tolerance:.2f}s) [{status}]")
+        print(f"{name}: {base['stats']['mean']:.2f}s -> "
+              f"{cand['stats']['mean']:.2f}s")
 
         base_info = base.get("extra_info", {})
         cand_info = cand.get("extra_info", {})
@@ -147,10 +137,6 @@ def main(argv=None) -> int:
     parser.add_argument("--check", action="store_true",
                         help="gate the candidate against the baseline with "
                              "tolerances instead of printing speedups")
-    parser.add_argument("--time-tolerance", type=float, default=3.0,
-                        metavar="FACTOR",
-                        help="max allowed candidate/baseline wall-clock "
-                             "ratio in --check mode (default 3.0)")
     parser.add_argument("--metric-rtol", type=float, default=0.05,
                         metavar="RTOL",
                         help="relative drift tolerance for extra_info "
@@ -169,8 +155,8 @@ def main(argv=None) -> int:
     baseline = load_benchmarks(args.baseline)
     candidate = load_benchmarks(args.candidate)
     if args.check:
-        return check_drift(baseline, candidate, args.time_tolerance,
-                           args.metric_rtol, args.metric_atol,
+        return check_drift(baseline, candidate, args.metric_rtol,
+                           args.metric_atol,
                            overhead_limit=args.overhead_limit)
     return print_speedups(baseline, candidate)
 

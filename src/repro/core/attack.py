@@ -8,7 +8,6 @@ engine, and returns a fully evaluated :class:`AttackResult`.
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -128,7 +127,6 @@ def _prepare_for_batch(model: SegmentationModel, scene: PointCloudScene,
 
 def run_attack_batch(model: SegmentationModel, scenes: Sequence[PointCloudScene],
                      config: AttackConfig,
-                     rng: Optional[np.random.Generator] = None,
                      num_points: Optional[int] = None,
                      skip_missing_source: bool = True,
                      start_index: int = 0) -> List[AttackResult]:
@@ -144,8 +142,6 @@ def run_attack_batch(model: SegmentationModel, scenes: Sequence[PointCloudScene]
     many earlier scenes were skipped.  To shard one logical batch across
     workers without changing any numbers, pass each shard's global offset
     as ``start_index`` (e.g. shard ``scenes[k:]`` with ``start_index=k``).
-    The ``rng`` parameter is kept for backwards compatibility but no longer
-    participates in seeding.
 
     Same-size scenes are coalesced into groups of up to
     ``config.batch_scenes`` and each group runs through the engine's batched
@@ -155,10 +151,6 @@ def run_attack_batch(model: SegmentationModel, scenes: Sequence[PointCloudScene]
     preparation may skip a scene; an error raised inside an engine loop
     always propagates.
     """
-    if rng is not None:
-        warnings.warn("run_attack_batch ignores the shared `rng` argument; "
-                      "per-scene seeds derive from (config.seed, scene_index)",
-                      DeprecationWarning, stacklevel=2)
     prepared: List[Tuple[int, PreparedScene]] = []
     for scene_index, scene in enumerate(scenes, start=start_index):
         scene_rng = np.random.default_rng([config.seed, scene_index])

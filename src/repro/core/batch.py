@@ -3,9 +3,10 @@
 :class:`AttackEngine` holds what every engine shares: the victim model, the
 configuration, the ``Converge(·)`` check and ``run`` (a one-scene
 ``run_batched``).  :class:`SceneBatch` holds the per-scene rules of one
-batched run, so the bounded, unbounded and noise engines keep only their
-update rules.  Every per-scene decision reads only that scene's values and
-RNG stream, so each result is bit-for-bit the one a one-scene run gives.
+batched run, so every engine (bounded, unbounded, noise and the black-box
+NES, SPSA and boundary walk) keeps only its update rules.  Every per-scene
+decision reads only that scene's values and RNG stream, so each result is
+bit-for-bit the one a one-scene run gives.
 """
 
 from __future__ import annotations
@@ -53,8 +54,10 @@ class SceneBatch:
     Holds the float64 clouds, int64 labels, target masks, each scene's RNG
     stream (seeded ``config.seed`` when it has none), the object-hiding
     target labels, the clean predictions, the min-impact selectors, the EOT
-    sampler and the per-scene histories and flags: ``active`` marks the
-    scenes still attacking, :meth:`stop` clears it.
+    sampler and the per-scene histories and flags: ``converged`` marks the
+    scenes that met ``Converge(·)`` and ``active`` those still attacking;
+    :meth:`mark_converged` sets the first, :meth:`stop` also clears the
+    second.
     """
 
     def __init__(self, engine: AttackEngine,
@@ -134,38 +137,56 @@ class SceneBatch:
             raw_logits = self.model(Tensor(coords), Tensor(colors))
         return loss, raw_logits
 
+    def adversarial(self, b: int, prediction: np.ndarray,
+                    mask: Optional[np.ndarray] = None) -> bool:
+        """Whether scene ``b``'s ``(N,)`` prediction meets ``Converge(·)``.
+
+        ``mask``, here and in :meth:`gain`, replaces the scene's target mask
+        (an EOT view judges only its surviving points).
+        """
+        return self.check.converged(prediction, self.labels[b], self.targets[b],
+                                    self.mask[b] if mask is None else mask)
+
     def converges(self, predictions: np.ndarray) -> np.ndarray:
         """Which active scenes meet ``Converge(·)`` at ``(B, N)`` predictions."""
-        return np.array([
-            self.active[b] and self.check.converged(
-                predictions[b], self.labels[b], self.targets[b], self.mask[b])
-            for b in range(self.size)])
+        return np.array([self.active[b] and self.adversarial(b, predictions[b])
+                         for b in range(self.size)])
 
-    def gain(self, b: int, prediction: np.ndarray) -> float:
+    def gain(self, b: int, prediction: np.ndarray,
+             mask: Optional[np.ndarray] = None) -> float:
         """Scene ``b``'s attack progress at its ``(N,)`` prediction."""
         return self.check.gain(prediction, self.labels[b], self.targets[b],
-                               self.mask[b])
+                               self.mask[b] if mask is None else mask)
 
     def log_step(self, b: int, step: int, entry: Dict[str, float],
-                 pnorm: Callable[[], float]) -> None:
+                 pnorm: Callable[[], float], **fields) -> None:
         """Append scene ``b``'s history entry and trace its ``attack_step``.
 
-        ``pnorm`` is called only while tracing is on.
+        ``pnorm`` is called only while tracing is on; ``fields`` are further
+        event fields (the black-box engines' paid ``queries``).
         """
         self.histories[b].append(entry)
         if self.tracer.enabled:
             self.tracer.emit("attack_step", engine=self.config.engine_name,
                              scene=self.scenes[b].scene_name, step=step,
-                             loss=entry["loss"], gain=entry["gain"],
+                             loss=entry["loss"], gain=entry["gain"], **fields,
                              pnorm=pnorm())
 
-    def stop(self, b: int, step: int) -> None:
-        """Scene ``b`` converged at ``step``: freeze it and trace the event."""
+    def mark_converged(self, b: int, step: int) -> None:
+        """Scene ``b`` met ``Converge(·)`` at ``step``: flag and trace it.
+
+        The scene stays active; the boundary walk keeps shrinking its
+        perturbation inside the adversarial region.
+        """
         self.converged[b] = True
-        self.active[b] = False
         if self.tracer.enabled:
             self.tracer.emit("attack_converged", engine=self.config.engine_name,
                              scene=self.scenes[b].scene_name, step=step)
+
+    def stop(self, b: int, step: int) -> None:
+        """Scene ``b`` converged at ``step``: freeze it and trace the event."""
+        self.mark_converged(b, step)
+        self.active[b] = False
 
     def results(self, coords: np.ndarray, colors: np.ndarray,
                 predictions: Optional[Sequence] = None) -> List[AttackResult]:

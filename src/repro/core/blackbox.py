@@ -17,14 +17,17 @@ adds the score-based and decision-based threat models behind the very same
   cloud with orthogonal exploration noise, accepting only proposals that stay
   adversarial (the attacker's own ``Converge(·)`` criterion).
 
-All three engines are built as *per-scene state machines driven by stacked
-forward passes*: ``run_batched`` drives B states (``run`` is a one-scene
-batch), and every model evaluation stacks the active scenes' clouds into one
-``(rows, N, 3)`` forward.  Because evaluation-mode forwards are
-batch-position independent (the PR-3 invariant) and every per-scene decision
-consumes only that scene's RNG stream and loss values, serial and batched
-runs are bit-for-bit identical by construction — the engine-contract suite
-asserts exactly that.
+All three engines run on the same :class:`~repro.core.batch.SceneBatch` as
+the white-box engines, which owns each scene's clouds, masks, labels, RNG
+stream, EOT sampler, ``Converge(·)`` check, history, trace events and
+result.  The engines keep only what is theirs: one stacked ``(B, N, 3)``
+array of adversarial values per attacked field, each scene's paid queries
+and the boundary walk's bookkeeping.  Every model evaluation stacks the
+active scenes' clouds into one ``(rows, N, 3)`` forward.  Because
+evaluation-mode forwards are batch-position independent and every
+per-scene decision consumes only that scene's RNG stream and loss values,
+serial and batched runs are bit-for-bit identical by construction — the
+engine-contract suite asserts exactly that.
 
 Query accounting: every cloud the victim model evaluates for the attacker
 costs one query from ``config.query_budget``.  A NES/SPSA step spends one
@@ -42,14 +45,14 @@ import numpy as np
 from ..accel import attack_compute
 from ..models.base import SegmentationModel
 from ..nn import Tensor, plan_cache
-from ..telemetry import get_tracer
-from .batch import AttackEngine
+from .batch import AttackEngine, SceneBatch
 from .config import AttackConfig, AttackMode, AttackObjective, AttackResult
-from .convergence import ConvergenceCheck
-from .eot import build_eot
-from .evaluation import build_result
 from .norm_bounded import NormBoundedAttack
-from .perturbation import PerturbationSpec
+from .perturbation import PreparedScene
+
+#: Scene ``b``'s values of the attacked fields, keyed ``"color"`` and
+#: ``"coordinate"`` (colour first), as an ``(N, 3)`` array each.
+Candidate = Dict[str, np.ndarray]
 
 
 def _margin_loss(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray,
@@ -75,113 +78,41 @@ def _margin_loss(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray,
     return float(np.sum(np.maximum(margin, 0.0) * mask))
 
 
-class _SceneState:
-    """Everything one scene carries through a black-box optimisation loop."""
+def _cloud(batch: SceneBatch, b: int, values: Candidate
+           ) -> Tuple[np.ndarray, np.ndarray]:
+    """Scene ``b``'s ``(coords, colors)`` with ``values`` on its attacked fields."""
+    return (values.get("coordinate", batch.coords[b]),
+            values.get("color", batch.colors[b]))
 
-    def __init__(self, config: AttackConfig, check: ConvergenceCheck,
-                 coords: np.ndarray, colors: np.ndarray, labels: np.ndarray,
-                 spec: PerturbationSpec, target_labels: Optional[np.ndarray],
-                 rng: Optional[np.random.Generator], scene_name: str) -> None:
-        self.config = config
-        self.check = check
-        self.coords = np.asarray(coords, dtype=np.float64)
-        self.colors = np.asarray(colors, dtype=np.float64)
-        self.labels = np.asarray(labels, dtype=np.int64)
-        self.spec = spec
-        self.mask = np.asarray(spec.target_mask, dtype=bool)
-        self.mask3 = self.mask[:, None]
-        self.target_labels = (None if target_labels is None
-                              else np.asarray(target_labels, dtype=np.int64))
-        if (config.objective is AttackObjective.OBJECT_HIDING
-                and self.target_labels is None):
-            raise ValueError("object hiding requires target labels")
-        self.rng = rng or np.random.default_rng(config.seed)
-        self.scene_name = scene_name
-        # Adaptive mode: the attacker's own sampler of the deployed defense
-        # (None when static).  Every defended forward costs one query.
-        self.eot = build_eot(config)
 
-        self.fields = []
-        if spec.field.perturbs_color:
-            self.fields.append("color")
-        if spec.field.perturbs_coordinate:
-            self.fields.append("coordinate")
-        self.original = {"color": self.colors, "coordinate": self.coords}
-        self.boxes = {"color": spec.color_box, "coordinate": spec.coord_box}
-        self.adv = {name: self.original[name].copy() for name in self.fields}
+def _original(batch: SceneBatch, name: str) -> np.ndarray:
+    """The clean ``(B, N, 3)`` values of field ``name``."""
+    return batch.colors if name == "color" else batch.coords
 
-        self.queries = 0
-        self.iterations = 0
-        self.converged = False
-        self.active = True
-        self.history: List[Dict[str, float]] = []
 
-    # -------------------------------------------------------------- #
-    @property
-    def loss_labels(self) -> np.ndarray:
-        """Labels the adversarial loss is computed against."""
-        if self.config.objective is AttackObjective.OBJECT_HIDING:
-            return self.target_labels
-        return self.labels
+def _perturbation_l2(batch: SceneBatch, b: int, values: Candidate) -> float:
+    """Masked squared-L2 size of scene ``b``'s attacked-field move."""
+    total = 0.0
+    for name, value in values.items():
+        delta = (value - _original(batch, name)[b])[batch.mask[b]]
+        total += float(np.sum(delta ** 2))
+    return total
 
-    def cloud(self, overrides: Optional[Dict[str, np.ndarray]] = None
-              ) -> Tuple[np.ndarray, np.ndarray]:
-        """The (coords, colors) pair for the current or a probe cloud."""
-        values = {"coordinate": self.coords, "color": self.colors}
-        values.update(self.adv)
-        if overrides:
-            values.update(overrides)
-        return values["coordinate"], values["color"]
 
-    def perturbation_l2(self, candidate: Dict[str, np.ndarray]) -> float:
-        """Masked squared-L2 size of a candidate's attacked-field move."""
-        total = 0.0
-        for name in self.fields:
-            delta = (candidate[name] - self.original[name])[self.mask]
-            total += float(np.sum(delta ** 2))
-        return total
+def _draw_eot(batch: SceneBatch, b: int, values: Candidate) -> List:
+    """Scene ``b``'s defense samples at ``values`` (``[None]`` when static).
 
-    def is_adversarial(self, prediction: np.ndarray,
-                       mask: Optional[np.ndarray] = None) -> bool:
-        return self.check.converged(prediction, self.labels,
-                                    self.target_labels,
-                                    self.mask if mask is None else mask)
-
-    def gain(self, prediction: np.ndarray,
-             mask: Optional[np.ndarray] = None) -> float:
-        return self.check.gain(prediction, self.labels, self.target_labels,
-                               self.mask if mask is None else mask)
-
-    def draw_eot(self, overrides: Optional[Dict[str, np.ndarray]] = None
-                 ) -> List:
-        """This round's defense samples (``[None]`` when static).
-
-        Samples are drawn at the current adversarial cloud (or at the
-        candidate passed via ``overrides``) from the scene's own stream —
-        the standard sample-at-anchor EOT estimator, matching the white-box
-        engines' treatment.
-        """
-        if self.eot is None:
-            return [None]
-        coords, colors = self.cloud(overrides)
-        return self.eot.draw_all(coords, colors, self.rng)
-
-    def defended(self, coords: np.ndarray, colors: np.ndarray, sample
-                 ) -> Tuple[np.ndarray, np.ndarray]:
-        """A cloud as one defense sample sees it (identity when static)."""
-        if sample is None:
-            return coords, colors
-        return sample.apply_arrays(coords, colors)
-
-    def sample_mask(self, sample) -> np.ndarray:
-        """The loss mask restricted to the sample's surviving points."""
-        if sample is None:
-            return self.mask
-        return sample.restrict(self.mask)
+    Samples are drawn at the cloud being judged from the scene's own stream
+    — the standard sample-at-anchor EOT estimator, matching the white-box
+    engines' treatment.  Every defended forward costs one query.
+    """
+    if batch.eot is None:
+        return [None]
+    return batch.eot.draw_all(*_cloud(batch, b, values), batch.rngs[b])
 
 
 class _BlackBoxAttack(AttackEngine):
-    """Shared driver: stacked forward evaluation over per-scene states."""
+    """Shared driver: stacked forward evaluation over a :class:`SceneBatch`."""
 
     #: The run's forward-only plan cache, set while ``run_batched`` runs.
     _plans = None
@@ -217,8 +148,10 @@ class _BlackBoxAttack(AttackEngine):
         return self._plans.run(plan_key + (coords.shape,), self.model,
                                coords=coords, colors=colors)
 
-    def _replayable(self, states: Sequence[_SceneState]) -> bool:
-        """Whether stacked forwards may be compiled for these scenes.
+    @staticmethod
+    def _plan_key(batch: SceneBatch, phase: str,
+                  scenes: Sequence[int]) -> Optional[tuple]:
+        """The plan key of one stacked forward over ``scenes``, or ``None``.
 
         Replay bakes the capture step's neighbourhood gather indices into
         the plan, so it is only sound when coordinates never move
@@ -226,39 +159,30 @@ class _BlackBoxAttack(AttackEngine):
         cloud (static defense — adaptive EOT samples drop points and
         reshuffle the stacked rows).
         """
-        state = states[0]
-        return (state.eot is None
-                and not state.spec.field.perturbs_coordinate)
-
-    def _make_state(self, scene) -> _SceneState:
-        return _SceneState(self.config, self.check, scene.coords, scene.colors,
-                           scene.labels, scene.spec, scene.target_labels,
-                           scene.rng, scene.scene_name)
-
-    def _finish(self, state: _SceneState) -> AttackResult:
-        coords, colors = state.cloud()
-        return build_result(
-            model=self.model, config=self.config,
-            original_coords=state.coords, original_colors=state.colors,
-            adversarial_coords=coords, adversarial_colors=colors,
-            labels=state.labels, target_labels=state.target_labels,
-            target_mask=state.mask, iterations=state.iterations,
-            converged=state.converged, history=state.history,
-            scene_name=state.scene_name,
-        )
+        if batch.eot is not None or batch.spec.field.perturbs_coordinate:
+            return None
+        return (phase,) + tuple(batch.scenes[b].scene_name for b in scenes)
 
     # -------------------------------------------------------------- #
-    def run_batched(self, scenes: Sequence) -> List[AttackResult]:
+    def run_batched(self, scenes: Sequence[PreparedScene]) -> List[AttackResult]:
         """Attack several same-size prepared clouds through shared forwards."""
-        states = [self._make_state(scene) for scene in scenes]
-        self.model.eval()
+        batch = SceneBatch(self, scenes)
+        # The adversarial values of the attacked fields, colour first: the
+        # order every scene's stream draws them in.
+        adv: Dict[str, np.ndarray] = {}
+        if batch.spec.field.perturbs_color:
+            adv["color"] = batch.colors.copy()
+        if batch.spec.field.perturbs_coordinate:
+            adv["coordinate"] = batch.coords.copy()
         with attack_compute(self.model, self.config, neighbor_refresh=1) as cache:
             self._plans = plan_cache()
-            self._drive(states, cache)
+            self._drive(batch, adv, cache)
             self._plans = None
-        return [self._finish(state) for state in states]
+        return batch.results(adv.get("coordinate", batch.coords),
+                             adv.get("color", batch.colors))
 
-    def _drive(self, states: List[_SceneState], cache) -> None:
+    def _drive(self, batch: SceneBatch, adv: Dict[str, np.ndarray],
+               cache) -> None:
         raise NotImplementedError
 
 
@@ -270,62 +194,56 @@ class _FiniteDifferenceAttack(_BlackBoxAttack):
     L∞ projection onto the ε-ball and the valid value box.
     """
 
-    def _directions(self, state: _SceneState, shape: Tuple[int, ...]) -> np.ndarray:
+    def _directions(self, rng: np.random.Generator,
+                    shape: Tuple[int, ...]) -> np.ndarray:
         raise NotImplementedError
 
     # -------------------------------------------------------------- #
-    def _drive(self, states: List[_SceneState], cache) -> None:
+    def _drive(self, batch: SceneBatch, adv: Dict[str, np.ndarray],
+               cache) -> None:
         config = self.config
-        tracer = get_tracer()
+        mask3 = batch.mask[:, :, None]
+        loss_labels = (batch.labels if batch.target_labels is None
+                       else batch.target_labels)
+        queries = [0] * batch.size
         # Every scene shares the configuration, so the (possibly collapsed —
         # deterministic defenses yield one sample) EOT view count is uniform.
-        eot_k = states[0].eot.samples if states[0].eot is not None else 1
+        eot_k = batch.eot.samples if batch.eot is not None else 1
         pair_cost = 2 * config.samples_per_step * eot_k
-        replayable = self._replayable(states)
         while True:
             # Phase 1 — convergence check on every scene's current cloud
             # (one query each).  Scenes that cannot afford the check stop.
-            for state in states:
-                if state.active and state.queries + 1 > config.query_budget:
-                    state.active = False
-            checking = [state for state in states if state.active]
+            for b in range(batch.size):
+                if batch.active[b] and queries[b] + 1 > config.query_budget:
+                    batch.active[b] = False
+            checking = [b for b in range(batch.size) if batch.active[b]]
             if not checking:
                 break
+            current = [{name: values[b] for name, values in adv.items()}
+                       for b in range(batch.size)]
             cache.advance()
             logits = self._evaluate(
-                [state.cloud() for state in checking],
-                plan_key=(("check",) + tuple(s.scene_name for s in checking)
-                          if replayable else None))
+                [_cloud(batch, b, current[b]) for b in checking],
+                plan_key=self._plan_key(batch, "check", checking))
             predictions = np.argmax(logits, axis=-1)
-            for row, state in enumerate(checking):
-                state.queries += 1
-                state.iterations += 1
-                loss = _margin_loss(logits[row], state.loss_labels, state.mask,
-                                    config.objective)
-                state.history.append({
-                    "step": float(state.iterations), "loss": loss,
-                    "gain": state.gain(predictions[row]),
-                    "queries": float(state.queries),
-                })
-                if tracer.enabled:
-                    tracer.emit("attack_step", engine=config.engine_name,
-                                scene=state.scene_name,
-                                step=state.iterations, loss=loss,
-                                gain=state.history[-1]["gain"],
-                                queries=state.queries,
-                                pnorm=state.perturbation_l2(state.adv))
-                if state.is_adversarial(predictions[row]):
-                    state.converged = True
-                    state.active = False
-                    if tracer.enabled:
-                        tracer.emit("attack_converged",
-                                    engine=config.engine_name,
-                                    scene=state.scene_name,
-                                    step=state.iterations)
-                elif state.queries + pair_cost > config.query_budget:
-                    state.active = False       # cannot afford a probe round
+            for row, b in enumerate(checking):
+                queries[b] += 1
+                batch.iterations[b] += 1
+                step = int(batch.iterations[b])
+                batch.log_step(b, step, {
+                    "step": float(step),
+                    "loss": _margin_loss(logits[row], loss_labels[b],
+                                         batch.mask[b], config.objective),
+                    "gain": batch.gain(b, predictions[row]),
+                    "queries": float(queries[b]),
+                }, pnorm=lambda: _perturbation_l2(batch, b, current[b]),
+                    queries=queries[b])
+                if batch.adversarial(b, predictions[row]):
+                    batch.stop(b, step)
+                elif queries[b] + pair_cost > config.query_budget:
+                    batch.active[b] = False    # cannot afford a probe round
 
-            probing = [state for state in states if state.active]
+            probing = [b for b in range(batch.size) if batch.active[b]]
             if not probing:
                 continue
 
@@ -337,95 +255,96 @@ class _FiniteDifferenceAttack(_BlackBoxAttack):
             # evaluated through every defense sample; the ± losses are the
             # per-sample means, and every defended forward costs one query.
             probes: List[Tuple[np.ndarray, np.ndarray]] = []
-            directions: List[List[Dict[str, np.ndarray]]] = []
+            directions: List[List[Candidate]] = []
             eot_by_scene: List[List] = []
-            for state in probing:
-                scene_samples = state.draw_eot()
+            for b in probing:
+                scene_samples = _draw_eot(batch, b, current[b])
                 eot_by_scene.append(scene_samples)
                 scene_directions = []
                 for _ in range(config.samples_per_step):
                     direction = {
-                        name: self._directions(state, state.adv[name].shape)
-                        * state.mask3
-                        for name in state.fields
+                        name: self._directions(batch.rngs[b], value.shape)
+                        * mask3[b]
+                        for name, value in current[b].items()
                     }
                     scene_directions.append(direction)
                     for sign in (1.0, -1.0):
-                        probe = {
-                            name: state.adv[name]
-                            + sign * config.fd_sigma * direction[name]
-                            for name in state.fields
-                        }
-                        probe_coords, probe_colors = state.cloud(probe)
+                        probe_coords, probe_colors = _cloud(batch, b, {
+                            name: value + sign * config.fd_sigma
+                            * direction[name]
+                            for name, value in current[b].items()
+                        })
                         for sample in scene_samples:
-                            probes.append(state.defended(probe_coords,
-                                                         probe_colors, sample))
+                            probes.append(
+                                (probe_coords, probe_colors) if sample is None
+                                else sample.apply_arrays(probe_coords,
+                                                         probe_colors))
                 directions.append(scene_directions)
             logits = self._evaluate(
-                probes,
-                plan_key=(("probes",) + tuple(s.scene_name for s in probing)
-                          if replayable else None))
+                probes, plan_key=self._plan_key(batch, "probes", probing))
 
             row = 0
-            for state, scene_directions, scene_samples in zip(
+            for b, scene_directions, scene_samples in zip(
                     probing, directions, eot_by_scene):
-                estimate = {name: np.zeros_like(state.adv[name])
-                            for name in state.fields}
+                estimate = {name: np.zeros_like(value)
+                            for name, value in current[b].items()}
                 samples_k = float(len(scene_samples))
+                masks = [batch.mask[b] if sample is None
+                         else sample.restrict(batch.mask[b])
+                         for sample in scene_samples]
                 for direction in scene_directions:
                     loss_pair = []
                     for _sign in (1.0, -1.0):
                         total = 0.0
-                        for sample in scene_samples:
-                            total += _margin_loss(logits[row],
-                                                  state.loss_labels,
-                                                  state.sample_mask(sample),
-                                                  config.objective)
+                        for mask in masks:
+                            total += _margin_loss(logits[row], loss_labels[b],
+                                                  mask, config.objective)
                             row += 1
                         loss_pair.append(total / samples_k)
                     weight = (loss_pair[0] - loss_pair[1]) / (2.0 * config.fd_sigma)
-                    for name in state.fields:
+                    for name in estimate:
                         estimate[name] += weight * direction[name]
-                state.queries += pair_cost
-                for name in state.fields:
-                    updated = (state.adv[name]
+                queries[b] += pair_cost
+                for name, values in adv.items():
+                    updated = (values[b]
                                - config.step_size * np.sign(estimate[name])
-                               * state.mask3)
-                    state.adv[name] = NormBoundedAttack._project(
-                        updated, state.original[name], config.epsilon,
-                        state.boxes[name])
+                               * mask3[b])
+                    values[b] = NormBoundedAttack._project(
+                        updated, _original(batch, name)[b], config.epsilon,
+                        batch.spec.box_for(name))
 
 
 class NESAttack(_FiniteDifferenceAttack):
     """NES gradient estimation: antithetic Gaussian probe directions."""
 
-    def _directions(self, state: _SceneState, shape: Tuple[int, ...]) -> np.ndarray:
-        return state.rng.standard_normal(shape)
+    def _directions(self, rng: np.random.Generator,
+                    shape: Tuple[int, ...]) -> np.ndarray:
+        return rng.standard_normal(shape)
 
 
 class SPSAAttack(_FiniteDifferenceAttack):
     """SPSA: Rademacher (±1) simultaneous-perturbation directions."""
 
-    def _directions(self, state: _SceneState, shape: Tuple[int, ...]) -> np.ndarray:
-        return state.rng.integers(0, 2, size=shape).astype(np.float64) * 2.0 - 1.0
+    def _directions(self, rng: np.random.Generator,
+                    shape: Tuple[int, ...]) -> np.ndarray:
+        return rng.integers(0, 2, size=shape).astype(np.float64) * 2.0 - 1.0
 
 
 class _BoundaryScene:
-    """Boundary-walk bookkeeping layered on top of a :class:`_SceneState`."""
+    """Boundary-walk bookkeeping of scene ``b`` of a :class:`SceneBatch`."""
 
-    __slots__ = ("state", "phase", "tries", "best", "best_l2", "best_gain",
-                 "best_effort", "source_step", "candidate")
+    __slots__ = ("b", "phase", "tries", "best", "best_l2", "best_gain",
+                 "best_effort", "source_step")
 
-    def __init__(self, state: _SceneState, source_step: float) -> None:
-        self.state = state
+    def __init__(self, b: int, source_step: float) -> None:
+        self.b = b
         self.phase = "init"
         self.tries = 0
-        self.best: Optional[Dict[str, np.ndarray]] = None
+        self.best: Optional[Candidate] = None
         self.best_l2 = np.inf
         self.best_gain = -np.inf
-        self.best_effort: Optional[Dict[str, np.ndarray]] = None
+        self.best_effort: Optional[Candidate] = None
         self.source_step = source_step
-        self.candidate: Optional[Dict[str, np.ndarray]] = None
 
 
 class BoundaryAttack(_BlackBoxAttack):
@@ -443,31 +362,36 @@ class BoundaryAttack(_BlackBoxAttack):
     highest-gain candidate is reported with ``converged = False``.
     """
 
-    def _propose(self, walk: _BoundaryScene) -> Dict[str, np.ndarray]:
-        state = walk.state
-        candidate: Dict[str, np.ndarray] = {}
+    def _propose(self, batch: SceneBatch, adv: Dict[str, np.ndarray],
+                 walk: _BoundaryScene) -> Candidate:
+        b = walk.b
+        rng = batch.rngs[b]
+        mask3 = batch.mask[b][:, None]
+        candidate: Candidate = {}
         if walk.phase == "init":
-            for name in state.fields:
-                low, high = state.boxes[name]
-                drawn = state.rng.uniform(low, high,
-                                          size=state.original[name].shape)
-                candidate[name] = np.where(state.mask3, drawn,
-                                           state.original[name])
+            for name in adv:
+                original = _original(batch, name)[b]
+                drawn = rng.uniform(*batch.spec.box_for(name),
+                                    size=original.shape)
+                candidate[name] = np.where(mask3, drawn, original)
             return candidate
-        for name in state.fields:
-            delta = walk.state.adv[name] - state.original[name]
-            noise = state.rng.standard_normal(delta.shape) * state.mask3
+        for name, values in adv.items():
+            original = _original(batch, name)[b]
+            delta = values[b] - original
+            noise = rng.standard_normal(delta.shape) * mask3
             delta_norm = float(np.sqrt(np.sum(delta ** 2)))
             noise_norm = float(np.sqrt(np.sum(noise ** 2)))
             if noise_norm > 0.0:
                 noise *= (self.config.boundary_noise_step * delta_norm
                           / noise_norm)
             contracted = (delta + noise) * (1.0 - walk.source_step)
-            candidate[name] = np.clip(state.original[name] + contracted,
-                                      *state.boxes[name])
+            candidate[name] = np.clip(original + contracted,
+                                      *batch.spec.box_for(name))
         return candidate
 
-    def _decide(self, walk: _BoundaryScene, predictions: np.ndarray,
+    def _decide(self, batch: SceneBatch, adv: Dict[str, np.ndarray],
+                queries: List[int], walk: _BoundaryScene,
+                candidate: Candidate, predictions: np.ndarray,
                 samples: List) -> None:
         """Judge one proposal from its defended view(s).
 
@@ -477,16 +401,17 @@ class BoundaryAttack(_BlackBoxAttack):
         criterion, and the recorded gain is the mean over views.
         """
         config = self.config
-        state = walk.state
-        candidate = walk.candidate
+        b = walk.b
         views = len(samples)
-        state.queries += views
-        state.iterations += 1
+        queries[b] += views
+        batch.iterations[b] += 1
+        step = int(batch.iterations[b])
         votes = 0
         informative = 0
         gain_total = 0.0
         for prediction, sample in zip(predictions, samples):
-            mask = state.sample_mask(sample)
+            mask = (batch.mask[b] if sample is None
+                    else sample.restrict(batch.mask[b]))
             if not mask.any():
                 # The defense sample dropped every attacked point: the view
                 # carries no information about them.  It must NOT vote
@@ -496,72 +421,59 @@ class BoundaryAttack(_BlackBoxAttack):
                 # evaluation semantics rule out).
                 continue
             informative += 1
-            if state.is_adversarial(prediction, mask=mask):
+            if batch.adversarial(b, prediction, mask=mask):
                 votes += 1
-            gain_total += state.gain(prediction, mask=mask)
+            gain_total += batch.gain(b, prediction, mask=mask)
         # Acceptance demands a strict majority of ALL views (uninformative
         # views never endorse), but the gain averages over the informative
         # ones only — dividing by the full view count would rank proposals
         # by how many surviving views they drew, not by attack progress.
         adversarial = 2 * votes > views
         gain = gain_total / float(informative) if informative else 0.0
-        candidate_l2 = state.perturbation_l2(candidate)
-        state.history.append({
-            "step": float(state.iterations), "loss": candidate_l2,
-            "gain": gain, "queries": float(state.queries),
-        })
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.emit("attack_step", engine=config.engine_name,
-                        scene=state.scene_name, step=state.iterations,
-                        loss=candidate_l2, gain=gain, queries=state.queries,
-                        pnorm=candidate_l2)
+        candidate_l2 = _perturbation_l2(batch, b, candidate)
+        batch.log_step(b, step, {
+            "step": float(step), "loss": candidate_l2,
+            "gain": gain, "queries": float(queries[b]),
+        }, pnorm=lambda: candidate_l2, queries=queries[b])
         if gain > walk.best_gain:
             walk.best_gain = gain
             walk.best_effort = candidate
+        if adversarial:
+            for name, value in candidate.items():
+                adv[name][b] = value
         if walk.phase == "init":
             walk.tries += 1
             if adversarial:
-                state.adv = {name: value.copy()
-                             for name, value in candidate.items()}
                 walk.best, walk.best_l2 = candidate, candidate_l2
-                state.converged = True
                 walk.phase = "walk"
-                if tracer.enabled:
-                    tracer.emit("attack_converged",
-                                engine=config.engine_name,
-                                scene=state.scene_name,
-                                step=state.iterations)
+                batch.mark_converged(b, step)
             elif walk.tries >= config.boundary_init_tries:
-                state.active = False           # give up: report best effort
+                batch.active[b] = False        # give up: report best effort
+        elif adversarial:
+            if candidate_l2 < walk.best_l2:
+                walk.best, walk.best_l2 = candidate, candidate_l2
+            walk.source_step = min(walk.source_step * 1.5, 0.9)
         else:
-            if adversarial:
-                state.adv = {name: value.copy()
-                             for name, value in candidate.items()}
-                if candidate_l2 < walk.best_l2:
-                    walk.best, walk.best_l2 = candidate, candidate_l2
-                walk.source_step = min(walk.source_step * 1.5, 0.9)
-            else:
-                walk.source_step = max(walk.source_step * 0.7, 1e-3)
+            walk.source_step = max(walk.source_step * 0.7, 1e-3)
         # Budget enforcement lives in _drive's affordability gate, which
         # re-checks every walk before the next proposal.
-        walk.candidate = None
 
-    def _drive(self, states: List[_SceneState], cache) -> None:
-        walks = [_BoundaryScene(state, self.config.boundary_source_step)
-                 for state in states]
-        views = states[0].eot.samples if states[0].eot is not None else 1
-        replayable = self._replayable(states)
+    def _drive(self, batch: SceneBatch, adv: Dict[str, np.ndarray],
+               cache) -> None:
+        walks = [_BoundaryScene(b, self.config.boundary_source_step)
+                 for b in range(batch.size)]
+        queries = [0] * batch.size
+        views = batch.eot.samples if batch.eot is not None else 1
         while True:
             # Affordability gate: a proposal costs one query per defended
             # view, and a walk that cannot pay for a full proposal stops
             # *before* proposing — recorded queries never exceed the budget
             # even when the budget is smaller than the view count.
             for walk in walks:
-                if (walk.state.active
-                        and walk.state.queries + views > self.config.query_budget):
-                    walk.state.active = False
-            pending = [walk for walk in walks if walk.state.active]
+                if (batch.active[walk.b]
+                        and queries[walk.b] + views > self.config.query_budget):
+                    batch.active[walk.b] = False
+            pending = [walk for walk in walks if batch.active[walk.b]]
             if not pending:
                 break
             cache.advance()
@@ -571,29 +483,30 @@ class BoundaryAttack(_BlackBoxAttack):
             # per-scene stream order (proposal draws, then sample draws)
             # matches serial runs.
             clouds: List[Tuple[np.ndarray, np.ndarray]] = []
-            samples_by_walk: List[List] = []
+            proposals: List[Tuple[Candidate, List]] = []
             for walk in pending:
-                walk.candidate = self._propose(walk)
-                scene_samples = walk.state.draw_eot(walk.candidate)
-                samples_by_walk.append(scene_samples)
-                coords, colors = walk.state.cloud(walk.candidate)
+                candidate = self._propose(batch, adv, walk)
+                scene_samples = _draw_eot(batch, walk.b, candidate)
+                proposals.append((candidate, scene_samples))
+                coords, colors = _cloud(batch, walk.b, candidate)
                 for sample in scene_samples:
-                    clouds.append(walk.state.defended(coords, colors, sample))
+                    clouds.append((coords, colors) if sample is None
+                                  else sample.apply_arrays(coords, colors))
             logits = self._evaluate(
-                clouds,
-                plan_key=(("walk",) + tuple(w.state.scene_name for w in pending)
-                          if replayable else None))
+                clouds, plan_key=self._plan_key(
+                    batch, "walk", [walk.b for walk in pending]))
             predictions = np.argmax(logits, axis=-1)
             row = 0
-            for walk, scene_samples in zip(pending, samples_by_walk):
-                slice_width = len(scene_samples)
-                self._decide(walk, predictions[row:row + slice_width],
-                             scene_samples)
-                row += slice_width
+            for walk, (candidate, scene_samples) in zip(pending, proposals):
+                views_b = len(scene_samples)
+                self._decide(batch, adv, queries, walk, candidate,
+                             predictions[row:row + views_b], scene_samples)
+                row += views_b
         for walk in walks:
             chosen = walk.best if walk.best is not None else walk.best_effort
             if chosen is not None:
-                walk.state.adv = chosen
+                for name, value in chosen.items():
+                    adv[name][walk.b] = value
 
 
 _ENGINES = {

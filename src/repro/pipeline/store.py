@@ -212,9 +212,6 @@ class ResultStore(StoreBackend):
     def _meta_path(self, key: str) -> str:
         return os.path.join(self._shard(key), f"{key}.json")
 
-    # Historical private names, kept for callers/tests that poke at them.
-    _payload_path = payload_path
-
     # ------------------------------------------------------------------ #
     # Access
     # ------------------------------------------------------------------ #

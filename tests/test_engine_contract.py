@@ -10,6 +10,8 @@ fast (float32) and exact (float64) compute policies:
 * **mask confinement** — points outside the target mask never move;
 * **Converge(·) early stopping** — a trivially satisfied criterion stops
   every engine on its first check;
+* **object-hiding target labels** — hiding without target labels raises
+  before the model runs;
 * **query budgets** — black-box engines never spend more model queries than
   ``query_budget``;
 * **eager vs compiled equivalence** — the black-box engines' forward-only
@@ -35,7 +37,7 @@ import pytest
 import repro.core.blackbox as blackbox_mod
 from repro.accel import last_attack_plan_stats
 from repro.core import AttackConfig, run_attack, run_attack_batch
-from repro.core.attack import _build_engine
+from repro.core.attack import _build_engine, build_perturbation_spec
 from repro.core.blackbox import BoundaryAttack, NESAttack, SPSAAttack
 from repro.core.norm_bounded import NormBoundedAttack
 from repro.core.norm_unbounded import NormUnboundedAttack
@@ -98,6 +100,29 @@ def contract_model():
     return model
 
 
+HIDING = dict(objective="hiding", source_class=CLASS_INDEX["chair"],
+              target_class=CLASS_INDEX["floor"], target_accuracy=None)
+
+
+class _NoForwardModel:
+    """A victim that fails the test if an engine touches it beyond init."""
+
+    num_classes = 13
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the engine used model.{name}")
+
+
+def assert_hiding_needs_target_labels(config, scene, model):
+    """Hiding without target labels raises before any model call."""
+    spec = build_perturbation_spec(config, scene.labels, model)
+    engine = _build_engine(_NoForwardModel(), config)
+    with pytest.raises(ValueError,
+                       match="^object hiding requires target labels$"):
+        engine.run(scene.coords, scene.colors, scene.labels, spec,
+                   target_labels=None)
+
+
 def assert_results_identical(serial, batched):
     assert len(serial) == len(batched)
     for left, right in zip(serial, batched):
@@ -141,16 +166,19 @@ class TestEngineContract:
     def test_mask_confinement(self, contract_model, contract_scenes,
                               engine, policy):
         """Object hiding: points outside the attacked set never move."""
-        config = make_config(
-            engine, policy, objective="hiding",
-            source_class=CLASS_INDEX["chair"],
-            target_class=CLASS_INDEX["floor"], target_accuracy=None)
+        config = make_config(engine, policy, **HIDING)
         result = run_attack(contract_model, contract_scenes[0], config)
         outside = ~result.target_mask
         np.testing.assert_array_equal(result.adversarial_colors[outside],
                                       result.original_colors[outside])
         np.testing.assert_array_equal(result.adversarial_coords[outside],
                                       result.original_coords[outside])
+
+    def test_hiding_requires_target_labels(self, contract_model,
+                                           contract_scenes, engine, policy):
+        assert_hiding_needs_target_labels(
+            make_config(engine, policy, **HIDING), contract_scenes[0],
+            contract_model)
 
     def test_converge_early_stop(self, contract_model, contract_scenes,
                                  engine, policy):
@@ -208,6 +236,13 @@ def test_noise_baseline_is_mode_agnostic(contract_model):
         config = AttackConfig.fast(method="noise", attack_mode=mode)
         assert isinstance(_build_engine(contract_model, config),
                           RandomNoiseBaseline)
+
+
+def test_noise_baseline_hiding_requires_target_labels(contract_model,
+                                                      contract_scenes):
+    assert_hiding_needs_target_labels(
+        AttackConfig.fast(method="noise", field="color", seed=0, **HIDING),
+        contract_scenes[0], contract_model)
 
 
 #: Criteria that keep each engine busy for its whole budget: an impossible

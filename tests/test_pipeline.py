@@ -112,7 +112,7 @@ class TestResultStore:
         store = ResultStore(str(tmp_path))
         key = content_hash("x")
         store.put(key, {"ok": True})
-        with open(store._payload_path(key), "wb") as handle:
+        with open(store.payload_path(key), "wb") as handle:
             handle.write(b"not a pickle")
         with pytest.raises(KeyError):
             store.get(key)
@@ -263,7 +263,7 @@ class TestScheduler:
         store = ResultStore(str(tmp_path))
         first = run_graph(_diamond(), {}, store=store)
         key = next(r.key for r in first.report.records if r.task_id == "a")
-        with open(store._payload_path(key), "wb") as handle:
+        with open(store.payload_path(key), "wb") as handle:
             handle.write(b"garbage")
         second = run_graph(_diamond(), {}, store=store)
         statuses = {r.task_id: r.status for r in second.report.records}
@@ -375,12 +375,6 @@ class TestBatchSeeding:
                                  start_index=1)
         np.testing.assert_allclose(shard[0].adversarial_colors,
                                    full[1].adversarial_colors)
-
-    def test_shared_rng_argument_deprecated(self, trained_resgcn, office_scene):
-        config = self._noise_config()
-        with pytest.warns(DeprecationWarning):
-            run_attack_batch(trained_resgcn, [office_scene], config,
-                             rng=np.random.default_rng(0))
 
 
 @pytest.fixture(scope="module")
